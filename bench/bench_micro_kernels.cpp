@@ -13,7 +13,6 @@
 #include "fluid/pcg.hpp"
 #include "modelgen/arch_spec.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/gemm.hpp"
 #include "nn/im2col.hpp"
 #include "nn/kernels/isa.hpp"
 #include "nn/workspace.hpp"
@@ -63,7 +62,7 @@ void BM_Conv2DForward(benchmark::State& state) {
 BENCHMARK(BM_Conv2DForward)->Arg(32)->Arg(64)->Arg(96);
 
 /// Pins OpenMP to one thread for the scope of a benchmark so the
-/// naive-vs-GEMM comparison measures kernel quality, not parallelism.
+/// naive-vs-packed comparison measures kernel quality, not parallelism.
 class SingleThreadScope {
  public:
   SingleThreadScope() : old_(omp_get_max_threads()) { omp_set_num_threads(1); }
@@ -85,7 +84,7 @@ nn::Tensor random_input(int c, int n, std::uint64_t seed) {
 }
 
 /// The acceptance shape for the inference fast path: 3x3, 16->16 channels
-/// on an n x n grid, single thread. GEMM and naive variants share this.
+/// on an n x n grid, single thread. Naive and packed variants share this.
 void BM_ConvNaive(benchmark::State& state) {
   const SingleThreadScope st;
   const int n = static_cast<int>(state.range(0));
@@ -102,25 +101,6 @@ void BM_ConvNaive(benchmark::State& state) {
       benchmark::Counter::kIs1000);
 }
 BENCHMARK(BM_ConvNaive)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_ConvIm2colGemm(benchmark::State& state) {
-  const SingleThreadScope st;
-  const int n = static_cast<int>(state.range(0));
-  nn::Conv2D conv(16, 16, 3);
-  const nn::Tensor input = random_input(16, n, 11);
-  nn::Workspace ws;
-  nn::Tensor out;
-  conv.forward_gemm_into(input, out, ws);  // Warm the workspace.
-  for (auto _ : state) {
-    conv.forward_gemm_into(input, out, ws);
-    benchmark::DoNotOptimize(out.data().data());
-  }
-  const double flops = 2.0 * 16 * 16 * 9 * n * n;
-  state.counters["GFLOPS"] = benchmark::Counter(
-      flops, benchmark::Counter::kIsIterationInvariantRate,
-      benchmark::Counter::kIs1000);
-}
-BENCHMARK(BM_ConvIm2colGemm)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_ConvPacked(benchmark::State& state) {
   const SingleThreadScope st;
@@ -178,30 +158,6 @@ void BM_ConvPackedInt8(benchmark::State& state) {
       benchmark::Counter::kIs1000);
 }
 BENCHMARK(BM_ConvPackedInt8)->Arg(64)->Arg(128)->Arg(256);
-
-/// The GEMM micro-kernel alone at the conv-equivalent problem size:
-/// M = out_c, K = in_c * k * k, N = pixels.
-void BM_Sgemm(benchmark::State& state) {
-  const SingleThreadScope st;
-  const int m = 16;
-  const int k = 144;
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(21);
-  std::vector<float> a(static_cast<std::size_t>(m) * k);
-  std::vector<float> b(static_cast<std::size_t>(k) * n);
-  std::vector<float> c(static_cast<std::size_t>(m) * n, 0.0f);
-  for (auto& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  for (auto& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  for (auto _ : state) {
-    nn::sgemm_acc(m, n, k, a.data(), k, b.data(), n, c.data(), n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.counters["GFLOPS"] = benchmark::Counter(
-      2.0 * m * k * static_cast<double>(n),
-      benchmark::Counter::kIsIterationInvariantRate,
-      benchmark::Counter::kIs1000);
-}
-BENCHMARK(BM_Sgemm)->Arg(4096)->Arg(16384);
 
 void BM_Im2col(benchmark::State& state) {
   const SingleThreadScope st;
@@ -373,8 +329,6 @@ std::vector<SweepRow> run_conv_sweep() {
     // compiler the same way regardless of the kernel-ISA override).
     push("naive", "any",
          time_kernel([&] { conv.forward_naive_into(input, out); }));
-    push("im2col_gemm", "any",
-         time_kernel([&] { conv.forward_gemm_into(input, out, ws); }));
 
     for (const Isa isa : isas) {
       nn::kernels::set_isa_override(isa);
@@ -398,13 +352,13 @@ void report_conv_sweep(const util::BenchConfig& cfg) {
   const auto rows = run_conv_sweep();
 
   util::Table table({"algo", "isa", "grid", "ms_per_conv", "gflops"});
-  std::map<int, double> gemm_gflops;
+  std::map<int, double> naive_gflops;
   std::map<int, double> best_packed_gflops;
   for (const auto& r : rows) {
     table.add_row({r.algo, r.isa, std::to_string(r.grid),
                    util::fmt(r.seconds * 1e3, 4), util::fmt(r.gflops, 3)});
-    if (r.algo == "im2col_gemm") {
-      gemm_gflops[r.grid] = r.gflops;
+    if (r.algo == "naive") {
+      naive_gflops[r.grid] = r.gflops;
     }
     if (r.algo == "packed_f32" && r.gflops > best_packed_gflops[r.grid]) {
       best_packed_gflops[r.grid] = r.gflops;
@@ -412,17 +366,17 @@ void report_conv_sweep(const util::BenchConfig& cfg) {
   }
   table.print("Conv 16->16 3x3, per-algo / per-ISA (single thread)");
 
-  // The acceptance ratio for this PR: packed f32 vs the blocked GEMM at
-  // each grid, on the best ISA the host offers.
-  util::Table speedup({"grid", "gemm_gflops", "packed_gflops",
-                       "speedup_packed_vs_gemm"});
+  // Packed f32 vs the naive per-tap loop at each grid, on the best ISA the
+  // host offers.
+  util::Table speedup({"grid", "naive_gflops", "packed_gflops",
+                       "speedup_packed_vs_naive"});
   for (const auto& [grid, packed] : best_packed_gflops) {
-    const double gemm = gemm_gflops[grid];
-    speedup.add_row({std::to_string(grid), util::fmt(gemm, 3),
+    const double naive = naive_gflops[grid];
+    speedup.add_row({std::to_string(grid), util::fmt(naive, 3),
                      util::fmt(packed, 3),
-                     util::fmt(gemm > 0.0 ? packed / gemm : 0.0, 2)});
+                     util::fmt(naive > 0.0 ? packed / naive : 0.0, 2)});
   }
-  speedup.print("Packed microkernel speedup over blocked GEMM");
+  speedup.print("Packed microkernel speedup over the naive conv");
 
   util::Table provenance({"detected_isa", "active_isa", "omp_max_threads"});
   provenance.add_row({nn::kernels::isa_name(nn::kernels::detected_isa()),
@@ -441,7 +395,7 @@ void report_conv_sweep(const util::BenchConfig& cfg) {
 // (raw JSON mirrored to BENCH_kernels_gbench.json unless the caller asked
 // for a --benchmark_out file), then the pinned-ISA conv sweep whose
 // structured algo × grid × GFLOP/s table lands in BENCH_kernels.json so
-// the packed-vs-GEMM comparison can be checked by scripts and tracked
+// the packed-vs-naive comparison can be checked by scripts and tracked
 // across commits without re-parsing formatted tables.
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);

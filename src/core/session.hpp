@@ -15,7 +15,9 @@ namespace sfn::core {
 
 /// Configuration of the online phase.
 struct SessionConfig {
-  runtime::ControllerParams controller;
+  /// Model-switch controller, including the guard-trip quarantine
+  /// thresholds. Defaults honour SFN_GUARD_TRIPS / SFN_GUARD_WINDOW.
+  runtime::ControllerParams controller = runtime::ControllerParams::from_env();
   /// Per-step surrogate health guard (see runtime::FallbackPolicy).
   /// Defaults honour the SFN_GUARD_* environment knobs.
   runtime::GuardParams guard = runtime::GuardParams::from_env();

@@ -17,10 +17,8 @@ namespace {
 // Scope names for the sliced sessions. Every step() call opens one root
 // scope on the calling thread; all SessionResult timing is derived from
 // the captured telemetry stream (one source of truth for the chrome-trace
-// export, the summary tables and the returned result). Direct TraceScope
-// objects (not the SFN_TRACE_SCOPE macros) keep this working under
-// -DSFN_TRACE_MACROS=OFF, and TraceCapture records on the calling thread
-// even with SFN_TRACE=off.
+// export, the summary tables and the returned result). TraceCapture
+// records on the calling thread even with SFN_TRACE=off.
 constexpr const char* kAdaptiveScope = "session.adaptive";
 constexpr const char* kFixedScope = "session.fixed";
 constexpr const char* kStepScope = "session.step";
@@ -159,11 +157,8 @@ SessionStepper::SessionStepper(const workload::InputProblem& problem,
 
   const double quality_requirement = config.quality_requirement.value_or(
       artifacts.requirement.quality_loss);
-  runtime::ControllerParams controller_params = config.controller;
-  controller_params.quarantine_trips = config.guard.quarantine_trips;
-  controller_params.quarantine_window = config.guard.quarantine_window;
   controller_ = std::make_unique<runtime::ModelSwitchController>(
-      controller_params, candidates_, &artifacts.quality_db,
+      config.controller, candidates_, &artifacts.quality_db,
       quality_requirement, problem.steps);
 
   // The per-step health guard: rejected solves are re-solved in place by

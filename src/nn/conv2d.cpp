@@ -1,12 +1,8 @@
 #include "nn/conv2d.hpp"
 
-#include "nn/gemm.hpp"
-#include "nn/im2col.hpp"
-#include "nn/kernels/microkernel.hpp"
 #include "nn/kernels/packed_conv.hpp"
 #include "nn/serialize.hpp"
 #include "obs/metrics.hpp"
-#include "util/config.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -15,43 +11,6 @@
 #include <stdexcept>
 
 namespace sfn::nn {
-
-namespace {
-
-ConvAlgo parse_env_algo() {
-  const std::string v = util::env_choice(
-      "SFN_CONV_ALGO",
-      {"auto", "naive", "0", "gemm", "im2col", "1", "packed", "simd", "2",
-       "bf16", "int8"},
-      "auto");
-  if (v == "naive" || v == "0") return ConvAlgo::kNaive;
-  if (v == "gemm" || v == "im2col" || v == "1") return ConvAlgo::kIm2colGemm;
-  if (v == "packed" || v == "simd" || v == "2") return ConvAlgo::kPacked;
-  if (v == "bf16") return ConvAlgo::kBf16;
-  if (v == "int8") return ConvAlgo::kInt8;
-  return ConvAlgo::kAuto;
-}
-
-std::atomic<ConvAlgo>& algo_override_state() {
-  static std::atomic<ConvAlgo> state{parse_env_algo()};
-  return state;
-}
-
-}  // namespace
-
-// Release/acquire pairing: a thread that observes a new override also
-// observes every write the setter made before publishing it, so flipping
-// the algorithm while forward_batch workers are mid-flight is safe — each
-// Conv2D::choose_algo call sees either the old or the new value, never a
-// torn or stale-beyond-the-store state (tests/conv_algo_test.cpp flips it
-// under a running forward_batch; the TSan preset verifies the ordering).
-ConvAlgo conv_algo_override() {
-  return algo_override_state().load(std::memory_order_acquire);
-}
-
-void set_conv_algo_override(ConvAlgo algo) {
-  algo_override_state().store(algo, std::memory_order_release);
-}
 
 Conv2D::Conv2D(int in_channels, int out_channels, int kernel, bool residual)
     : in_c_(in_channels),
@@ -105,44 +64,23 @@ std::uint64_t Conv2D::flops(const Shape& input) const {
 }
 
 ConvAlgo Conv2D::choose_algo(const Shape& input) const {
-  // A quantized layer executes quantized unconditionally: the process-wide
-  // override must not detach a Pareto candidate from its measured quality
-  // loss (see conv_algo_override's contract).
+  // A quantized layer always executes quantized: its precision is what its
+  // measured quality loss was taken with.
   if (precision_ == Precision::kInt8) return ConvAlgo::kInt8;
   if (precision_ == Precision::kBf16) return ConvAlgo::kBf16;
-  const ConvAlgo forced = conv_algo_override();
-  if (forced != ConvAlgo::kAuto) {
-    return forced;
-  }
-  // Column-matrix kernels win once the GEMM inner dimension (taps x
-  // channels) is wide enough to amortise the packing pass over a
-  // non-trivial image; below that the per-tap loop's lower setup cost wins
-  // (e.g. the first 2-channel 3x3 layer on a tiny validation grid, or 1x1
-  // bottlenecks with very few channels). Among the column kernels the
-  // packed microkernel path is preferred; very narrow outputs (the final
-  // linear conv) would waste most of its kMr-row panel, so they keep the
-  // strip GEMM, which pads nothing.
-  const std::size_t gemm_k =
-      static_cast<std::size_t>(in_c_) * k_ * k_;
-  const std::size_t pixels =
-      static_cast<std::size_t>(input.h) * input.w;
-  if (gemm_k < 16 || pixels < 256) return ConvAlgo::kNaive;
-  if (out_c_ <= kernels::kMr / 2) return ConvAlgo::kIm2colGemm;
+  // The packed kernel wins once the column matrix (taps x channels) is
+  // tall enough to amortise the im2col and tiling over a non-trivial
+  // image; below that the per-tap loop's lower setup cost wins (e.g. the
+  // first 2-channel 3x3 layer on a tiny validation grid, or 1x1
+  // bottlenecks with very few channels).
+  const std::size_t taps = static_cast<std::size_t>(in_c_) * k_ * k_;
+  const std::size_t pixels = static_cast<std::size_t>(input.h) * input.w;
+  if (taps < 16 || pixels < 256) return ConvAlgo::kNaive;
   return ConvAlgo::kPacked;
 }
 
-bool Conv2D::fuses_relu(const Shape& input) const {
-  switch (choose_algo(input)) {
-    case ConvAlgo::kPacked:
-    case ConvAlgo::kBf16:
-    case ConvAlgo::kInt8:
-      return true;
-    default:
-      return false;
-  }
-}
-
-void Conv2D::forward_naive_into(const Tensor& input, Tensor& out) const {
+void Conv2D::forward_naive_into(const Tensor& input, Tensor& out,
+                                bool fuse_relu) const {
   const Shape in_shape = input.shape();
   out.resize(output_shape(in_shape));
   const int h = in_shape.h;
@@ -186,63 +124,21 @@ void Conv2D::forward_naive_into(const Tensor& input, Tensor& out) const {
     }
   }
 
-  if (residual_) {
+  // Epilogue, one pass over the output: residual add, then ReLU with the
+  // same `x > 0 ? x : 0` as ReLU::forward_into and the packed kernels.
+  if (residual_ || fuse_relu) {
+    const float* res = residual_ ? in_base : nullptr;
     const auto n = static_cast<std::ptrdiff_t>(out.numel());
 #pragma omp parallel for schedule(static)
     for (std::ptrdiff_t i = 0; i < n; ++i) {
-      out[static_cast<std::size_t>(i)] += input[static_cast<std::size_t>(i)];
-    }
-  }
-}
-
-void Conv2D::forward_gemm_into(const Tensor& input, Tensor& out,
-                               Workspace& ws) const {
-  const Shape in_shape = input.shape();
-  out.resize(output_shape(in_shape));
-  const int h = in_shape.h;
-  const int w = in_shape.w;
-  const std::size_t n_pixels = static_cast<std::size_t>(h) * w;
-  const int gemm_k = in_c_ * k_ * k_;
-
-  const float* in_base = input.data().data();
-  float* out_base = out.data().data();
-
-  // C starts as the broadcast bias; the GEMM accumulates on top.
-  for (int oc = 0; oc < out_c_; ++oc) {
-    float* row = out_base + static_cast<std::size_t>(oc) * n_pixels;
-    std::fill(row, row + n_pixels, bias_[oc]);
-  }
-
-  if (k_ == 1) {
-    // 1x1 convolution is a pure channel-mixing GEMM; the input already is
-    // the column matrix, so skip the im2col pass entirely.
-    sgemm_acc(out_c_, n_pixels, in_c_, weights_.data(),
-              static_cast<std::size_t>(gemm_k), in_base, n_pixels, out_base,
-              n_pixels);
-  } else {
-    // Tile the column matrix so the packed chunk stays cache-resident and
-    // huge grids never materialise all (c*k*k) x (h*w) floats at once.
-    constexpr std::size_t kChunkBudgetFloats = 64 * 1024;  // 256 KiB
-    std::size_t chunk = kChunkBudgetFloats / static_cast<std::size_t>(gemm_k);
-    chunk = std::max<std::size_t>(kGemmStrip,
-                                  chunk - chunk % kGemmStrip);
-    chunk = std::min(chunk, n_pixels);
-    float* col = ws.col_buffer(static_cast<std::size_t>(gemm_k) * chunk);
-
-    for (std::size_t n0 = 0; n0 < n_pixels; n0 += chunk) {
-      const std::size_t n1 = std::min(n_pixels, n0 + chunk);
-      im2col_range(in_base, in_c_, h, w, k_, n0, n1, col);
-      sgemm_acc(out_c_, n1 - n0, gemm_k, weights_.data(),
-                static_cast<std::size_t>(gemm_k), col, n1 - n0, out_base + n0,
-                n_pixels);
-    }
-  }
-
-  if (residual_) {
-    const auto n = static_cast<std::ptrdiff_t>(out.numel());
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t i = 0; i < n; ++i) {
-      out[static_cast<std::size_t>(i)] += input[static_cast<std::size_t>(i)];
+      float v = out_base[i];
+      if (res != nullptr) {
+        v += res[i];
+      }
+      if (fuse_relu) {
+        v = v > 0.0f ? v : 0.0f;
+      }
+      out_base[i] = v;
     }
   }
 }
@@ -298,53 +194,31 @@ void Conv2D::forward_into_fused(const Tensor& input, Tensor& output,
   // Per-algo dispatch counters: cheap relaxed atomics that let BENCH/obs
   // tables attribute inference time to the kernel family actually run.
   static obs::Counter& naive_calls = obs::counter("nn.conv.naive_calls");
-  static obs::Counter& gemm_calls = obs::counter("nn.conv.gemm_calls");
   static obs::Counter& packed_calls = obs::counter("nn.conv.packed_calls");
   static obs::Counter& bf16_calls = obs::counter("nn.conv.bf16_calls");
   static obs::Counter& int8_calls = obs::counter("nn.conv.int8_calls");
   static obs::Counter& fused_calls = obs::counter("nn.conv.fused_relu_calls");
 
-  const ConvAlgo algo = choose_algo(input.shape());
-  bool fused = false;
-  switch (algo) {
+  switch (choose_algo(input.shape())) {
+    case ConvAlgo::kNaive:
+      naive_calls.add(1);
+      forward_naive_into(input, output, fuse_relu);
+      break;
     case ConvAlgo::kPacked:
       packed_calls.add(1);
       forward_packed_into(input, output, ws, Precision::kFloat32, fuse_relu);
-      fused = fuse_relu;
       break;
     case ConvAlgo::kBf16:
       bf16_calls.add(1);
       forward_packed_into(input, output, ws, Precision::kBf16, fuse_relu);
-      fused = fuse_relu;
       break;
     case ConvAlgo::kInt8:
       int8_calls.add(1);
       forward_packed_into(input, output, ws, Precision::kInt8, fuse_relu);
-      fused = fuse_relu;
-      break;
-    case ConvAlgo::kIm2colGemm:
-      gemm_calls.add(1);
-      forward_gemm_into(input, output, ws);
-      break;
-    default:
-      naive_calls.add(1);
-      forward_naive_into(input, output);
       break;
   }
-  if (fused) {
+  if (fuse_relu) {
     fused_calls.add(1);
-  }
-  if (fuse_relu && !fused) {
-    // The caller elided a ReLU layer but the chosen algorithm has no fused
-    // epilogue (e.g. the override flipped to naive between the fusion
-    // decision and this dispatch): apply it explicitly so the contract
-    // "output is post-activation" holds for every algorithm.
-    float* dst = output.data().data();
-    const auto n = static_cast<std::ptrdiff_t>(output.numel());
-#pragma omp parallel for simd schedule(static)
-    for (std::ptrdiff_t i = 0; i < n; ++i) {
-      dst[i] = dst[i] > 0.0f ? dst[i] : 0.0f;
-    }
   }
 }
 

@@ -12,35 +12,15 @@
 
 namespace sfn::nn {
 
-/// Which kernel implementation a Conv2D forward pass runs.
+/// Which kernel implementation a Conv2D forward pass runs. The layer picks
+/// it from its own precision and the input shape (Conv2D::choose_algo);
+/// nothing outside the layer selects it.
 enum class ConvAlgo {
-  kAuto,        ///< Per-shape heuristic (the default).
-  kNaive,       ///< Per-tap shift-and-accumulate.
-  kIm2colGemm,  ///< im2col packing + blocked SGEMM (nn/gemm.hpp).
-  kPacked,      ///< Pre-packed weights + SIMD microkernels (nn/kernels/).
-  kBf16,        ///< Packed path with bfloat16 weights.
-  kInt8,        ///< Packed path, int8 weights + dynamic int8 activations.
+  kNaive,   ///< Per-tap shift-and-accumulate.
+  kPacked,  ///< Pre-packed weights + SIMD microkernels (nn/kernels/).
+  kBf16,    ///< Packed path with bfloat16 weights.
+  kInt8,    ///< Packed path, int8 weights + dynamic int8 activations.
 };
-
-/// Process-wide algorithm override. Defaults to the SFN_CONV_ALGO
-/// environment variable ("naive", "gemm"/"im2col", "packed"/"simd",
-/// "bf16", "int8", or "auto", parsed via util::env_choice); kAuto defers
-/// to each layer's shape heuristic.
-///
-/// Thread safety: the override is an atomic with release/acquire
-/// ordering, so set_conv_algo_override may be called while inference
-/// (including Network::forward_batch) is running concurrently. Each conv
-/// dispatch observes either the old or the new value; the float kernels
-/// agree to ≤1e-5 relative tolerance and the packed cache is revision
-/// checked on every dispatch (DESIGN.md §8, §13), so a mid-batch flip
-/// changes speed, never correctness.
-///
-/// A layer whose Precision is not kFloat32 always executes quantized —
-/// the override selects among float kernels only. Otherwise flipping the
-/// env var would silently run a quantized Pareto candidate at full
-/// precision, detaching it from its measured quality loss.
-[[nodiscard]] ConvAlgo conv_algo_override();
-void set_conv_algo_override(ConvAlgo algo);
 
 /// 2-D convolution, stride 1, zero "same" padding, odd kernel size.
 ///
@@ -91,30 +71,24 @@ class Conv2D final : public Layer {
     return bias_[oc];
   }
 
-  /// Which algorithm `forward`/`forward_into` would pick for this input
-  /// shape after applying the process-wide override and the layer's
-  /// precision.
+  /// Which algorithm `forward`/`forward_into` runs for this input shape: a
+  /// quantized precision selects its own kernel; otherwise shapes too small
+  /// to amortise packing run naive and everything else runs packed.
   [[nodiscard]] ConvAlgo choose_algo(const Shape& input) const;
 
-  /// True when choose_algo lands on a kernel family with a fused ReLU
-  /// epilogue; Network::forward_inference uses this to elide a following
-  /// ReLU layer's pass over the output.
-  [[nodiscard]] bool fuses_relu(const Shape& input) const;
-
   /// Explicit-algorithm entry points, exposed for parity tests and the
-  /// micro-kernel benchmarks. All compute the full layer (bias + taps +
-  /// residual) without touching cached training state.
-  void forward_naive_into(const Tensor& input, Tensor& output) const;
-  void forward_gemm_into(const Tensor& input, Tensor& output,
-                         Workspace& ws) const;
+  /// micro-kernel benchmarks. Both compute the full layer (bias + taps +
+  /// residual, then ReLU when `fuse_relu`) without touching cached
+  /// training state.
+  void forward_naive_into(const Tensor& input, Tensor& output,
+                          bool fuse_relu = false) const;
   void forward_packed_into(const Tensor& input, Tensor& output, Workspace& ws,
                            Precision precision = Precision::kFloat32,
                            bool fuse_relu = false) const;
 
-  /// forward_into plus the fused epilogue decision: when `fuse_relu` and
-  /// the chosen algorithm supports it, ReLU happens in-register before the
-  /// store; otherwise an explicit ReLU pass follows, so the result is the
-  /// same either way.
+  /// forward_into with an optional fused ReLU epilogue: every algorithm
+  /// applies the activation before its final store, bit-identical to a
+  /// separate ReLU layer.
   void forward_into_fused(const Tensor& input, Tensor& output, Workspace& ws,
                           bool fuse_relu) const;
 
@@ -141,7 +115,7 @@ class Conv2D final : public Layer {
   std::vector<float> bias_;
   std::vector<float> bias_grads_;
   Tensor cached_input_;
-  /// Scratch for the GEMM/packed paths when invoked through the
+  /// Scratch for the packed paths when invoked through the
   /// workspace-less training-era forward(); lazily created, excluded from
   /// clone().
   mutable std::unique_ptr<Workspace> own_ws_;

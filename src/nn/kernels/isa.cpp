@@ -2,8 +2,6 @@
 
 #include <atomic>
 
-#include "util/config.hpp"
-
 namespace sfn::nn::kernels {
 namespace {
 
@@ -27,17 +25,8 @@ Isa probe_isa() {
 
 // Override slot: -1 = auto (follow detection), otherwise a static_cast Isa.
 std::atomic<int>& override_slot() {
-  static std::atomic<int> slot{-2};  // -2 = "not yet seeded from env".
+  static std::atomic<int> slot{-1};
   return slot;
-}
-
-int env_default() {
-  const std::string v = util::env_choice(
-      "SFN_KERNEL_ISA", {"auto", "scalar", "avx2", "neon"}, "auto");
-  if (v == "scalar") return static_cast<int>(Isa::kScalar);
-  if (v == "avx2") return static_cast<int>(Isa::kAvx2);
-  if (v == "neon") return static_cast<int>(Isa::kNeon);
-  return -1;
 }
 
 }  // namespace
@@ -48,15 +37,7 @@ Isa detected_isa() {
 }
 
 Isa active_isa() {
-  int requested = override_slot().load(std::memory_order_acquire);
-  if (requested == -2) {
-    // First touch: seed from the environment exactly once. Races here are
-    // benign — every thread computes the same env_default().
-    requested = env_default();
-    int expected = -2;
-    override_slot().compare_exchange_strong(expected, requested,
-                                            std::memory_order_acq_rel);
-  }
+  const int requested = override_slot().load(std::memory_order_acquire);
   const Isa limit = detected_isa();
   if (requested < 0) return limit;
   const auto want = static_cast<Isa>(requested);

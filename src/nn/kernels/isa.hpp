@@ -20,16 +20,16 @@ enum class Isa {
 /// Best ISA this build + this CPU supports (cpuid-checked once).
 [[nodiscard]] Isa detected_isa();
 
-/// ISA the kernels actually dispatch to: detected_isa() clamped by the
-/// process-wide override. Defaults to the SFN_KERNEL_ISA environment
-/// variable ("auto", "scalar", "avx2", "neon"); an override the hardware
-/// or build cannot honour falls back to scalar, never to an illegal
-/// instruction. Benches sweep this to emit the per-ISA kernel table.
+/// ISA the kernels actually dispatch to: detected_isa() unless a test or
+/// benchmark pinned another with set_isa_override. A pin the hardware or
+/// build cannot honour falls back to scalar, never to an illegal
+/// instruction.
 [[nodiscard]] Isa active_isa();
 
-/// Process-wide override (atomic, release/acquire — safe to flip while
-/// inference runs; each dispatch sees the old or the new value). Pass
-/// nullopt-equivalent via reset_isa_override() to return to auto.
+/// Process-wide pin for tests and the per-ISA kernel benchmark sweep
+/// (atomic, release/acquire — safe to flip while inference runs; each
+/// dispatch sees the old or the new value). reset_isa_override() returns
+/// to detection.
 void set_isa_override(Isa isa);
 void reset_isa_override();
 

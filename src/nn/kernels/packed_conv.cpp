@@ -10,8 +10,8 @@
 namespace sfn::nn::kernels {
 namespace {
 
-/// Same cache budget as the GEMM path: the live im2col chunk stays within
-/// 256 KiB so B strips are read from L2, not DRAM.
+/// Cache budget: the live im2col chunk stays within 256 KiB so B strips
+/// are read from L2, not DRAM.
 constexpr std::size_t kChunkBudgetFloats = 64 * 1024;
 
 std::size_t chunk_pixels(int K, std::size_t n_pixels) {

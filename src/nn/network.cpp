@@ -140,16 +140,14 @@ const Tensor& Network::forward_inference(const Tensor& input,
     obs::TraceScope layer_scope(trace_layers ? "nn.layer" : nullptr,
                                 static_cast<std::uint64_t>(li));
     Tensor* out = bufs[next];
-    // Conv → ReLU pairs collapse into the conv's fused epilogue when the
-    // chosen kernel supports it: the activation is applied in-register
-    // before the store, so the output tensor is written exactly once and
-    // the ReLU layer is skipped outright. Results are identical to the
-    // two-pass sequence (the epilogue computes the same `x > 0 ? x : 0`),
-    // so fusion changes wall-clock, never trajectories.
+    // Conv → ReLU pairs collapse into the conv's fused epilogue: the
+    // activation is applied before the final store, so the output tensor
+    // is written once and the ReLU layer is skipped outright. Results are
+    // identical to the two-pass sequence (the epilogue computes the same
+    // `x > 0 ? x : 0`), so fusion changes wall-clock, never trajectories.
     if (const auto* conv = dynamic_cast<const Conv2D*>(layer.get());
         conv != nullptr && li + 1 < layers_.size() &&
-        dynamic_cast<const ReLU*>(layers_[li + 1].get()) != nullptr &&
-        conv->fuses_relu(cur->shape())) {
+        dynamic_cast<const ReLU*>(layers_[li + 1].get()) != nullptr) {
       conv->forward_into_fused(*cur, *out, ws, /*fuse_relu=*/true);
       ++li;  // The ReLU layer's work happened in the epilogue.
     } else {
@@ -320,10 +318,9 @@ void Network::init_weights(util::Rng& rng) {
 void Network::prepack_for_inference() const {
   for (const auto& layer : layers_) {
     if (const auto* conv = dynamic_cast<const Conv2D*>(layer.get())) {
-      // Pack for the precision the layer will execute in. Float layers
-      // also serve as parents for forced bf16/int8 benchmarking, but
-      // those packs are built lazily on first use — eager packing covers
-      // only what steady-state serving will touch.
+      // Pack for the precision the layer will execute in; packs for other
+      // precisions (explicit forward_packed_into calls in benchmarks) are
+      // built lazily on first use.
       const Precision p = conv->precision();
       (void)conv->packed(p);
     }

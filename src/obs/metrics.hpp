@@ -20,7 +20,7 @@ namespace sfn::obs {
 [[nodiscard]] bool metrics_enabled();
 void set_metrics_enabled(bool enabled);
 
-/// Monotonic counter (PCG iterations, GEMM calls, switch decisions, ...).
+/// Monotonic counter (PCG iterations, conv dispatches, switch decisions, ...).
 /// add() is one relaxed fetch_add; safe from any thread.
 class Counter {
  public:

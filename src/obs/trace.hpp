@@ -143,19 +143,13 @@ void set_trace_buffer_capacity(std::size_t events);
 
 }  // namespace sfn::obs
 
-// Scoped-tracing instrumentation macros. Compiled out entirely when the
-// build defines SFN_TRACE_DISABLED (cmake -DSFN_TRACE_MACROS=OFF); at
-// runtime they cost two loads and a branch while SFN_TRACE=off.
+// Scoped-tracing instrumentation macros (one TraceScope local per line);
+// they cost two loads and a branch while SFN_TRACE=off.
 #define SFN_OBS_CONCAT_INNER(a, b) a##b
 #define SFN_OBS_CONCAT(a, b) SFN_OBS_CONCAT_INNER(a, b)
-#if defined(SFN_TRACE_DISABLED)
-#define SFN_TRACE_SCOPE(name) ((void)0)
-#define SFN_TRACE_SCOPE_ID(name, id) ((void)0)
-#else
 #define SFN_TRACE_SCOPE(name)                                      \
   ::sfn::obs::TraceScope SFN_OBS_CONCAT(sfn_trace_scope_, __LINE__)( \
       name)
 #define SFN_TRACE_SCOPE_ID(name, id)                               \
   ::sfn::obs::TraceScope SFN_OBS_CONCAT(sfn_trace_scope_, __LINE__)( \
       name, static_cast<std::uint64_t>(id))
-#endif

@@ -3,11 +3,21 @@
 #include "obs/eventlog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/config.hpp"
 
 #include <algorithm>
 #include <stdexcept>
 
 namespace sfn::runtime {
+
+ControllerParams ControllerParams::from_env() {
+  ControllerParams params;
+  params.quarantine_trips = static_cast<int>(
+      util::env_int("SFN_GUARD_TRIPS", params.quarantine_trips));
+  params.quarantine_window = static_cast<int>(
+      util::env_int("SFN_GUARD_WINDOW", params.quarantine_window));
+  return params;
+}
 
 std::string to_string(Decision d) {
   switch (d) {

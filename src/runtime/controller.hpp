@@ -61,11 +61,16 @@ struct ControllerParams {
   /// dead_band)). Keeps a noisy extrapolation that jitters across an edge
   /// from thrashing the model ladder.
   double switch_dead_band = 0.1;
-  /// Quarantine: a candidate whose health guard trips this many times...
+  /// Quarantine: a candidate whose health guard trips this many times
+  /// (SFN_GUARD_TRIPS)...
   int quarantine_trips = 3;
-  /// ...within this many simulation steps is disabled for the rest of the
-  /// run; the controller re-plans over the survivors.
+  /// ...within this many simulation steps (SFN_GUARD_WINDOW) is disabled
+  /// for the rest of the run; the controller re-plans over the survivors.
   int quarantine_window = 20;
+
+  /// Code defaults with the quarantine pair overridden by the
+  /// SFN_GUARD_TRIPS / SFN_GUARD_WINDOW environment knobs.
+  [[nodiscard]] static ControllerParams from_env();
 };
 
 /// Event log entry for analysis (Table 3's time distribution and the

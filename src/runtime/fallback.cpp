@@ -8,7 +8,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 
 namespace sfn::runtime {
 
@@ -29,27 +28,16 @@ double fluid_max_abs(const fluid::FlagGrid& flags, const fluid::GridF& g) {
   return m;
 }
 
-double env_double(const std::string& name, double fallback) {
-  const std::string raw = util::env_str(name, "");
-  if (raw.empty()) {
-    return fallback;
-  }
-  char* end = nullptr;
-  const double v = std::strtod(raw.c_str(), &end);
-  return (end != raw.c_str() && std::isfinite(v) && v > 0.0) ? v : fallback;
-}
-
 }  // namespace
 
 GuardParams GuardParams::from_env() {
   GuardParams params;
   params.enabled = util::env_choice("SFN_GUARD", {"on", "off"}, "on") == "on";
-  params.residual_threshold =
-      env_double("SFN_GUARD_RESIDUAL", params.residual_threshold);
-  params.quarantine_trips = static_cast<int>(
-      util::env_int("SFN_GUARD_TRIPS", params.quarantine_trips));
-  params.quarantine_window = static_cast<int>(
-      util::env_int("SFN_GUARD_WINDOW", params.quarantine_window));
+  const double residual =
+      util::env_double("SFN_GUARD_RESIDUAL", params.residual_threshold);
+  if (std::isfinite(residual) && residual > 0.0) {
+    params.residual_threshold = residual;
+  }
   return params;
 }
 
@@ -94,9 +82,8 @@ fluid::GuardOutcome FallbackPolicy::inspect(const fluid::FlagGrid& flags,
     return outcome;
   }
 
-  // Direct TraceScope (not the macro): core/session.cpp derives
-  // SessionResult::fallback_seconds from this scope's events, so it must
-  // survive -DSFN_TRACE_MACROS=OFF.
+  // core/stepper.cpp derives SessionResult::fallback_seconds from this
+  // scope's events (its kFallbackScope names the same scope).
   obs::TraceScope fallback_scope("runtime.fallback");
   static obs::Counter& fallbacks = obs::counter("runtime.fallbacks");
   fallbacks.add();

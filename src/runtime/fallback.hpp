@@ -8,7 +8,8 @@ namespace sfn::runtime {
 /// Per-step surrogate health-guard knobs. Defaults come from code; every
 /// field has an `SFN_GUARD_*` environment override (read through
 /// util::config, see from_env) so deployments can tighten or disable the
-/// guard without recompiling.
+/// guard without recompiling. How many trips quarantine a candidate is the
+/// controller's decision (ControllerParams::quarantine_trips).
 struct GuardParams {
   /// Master switch (SFN_GUARD=on|off). Off skips the residual sweep
   /// entirely — the paper-faithful configuration with no guard.
@@ -18,11 +19,6 @@ struct GuardParams {
   /// at exactly 1, healthy surrogates well below it; the default only
   /// catches solves that actively inject divergence.
   double residual_threshold = 8.0;
-  /// Quarantine a candidate after this many guard trips...
-  /// (SFN_GUARD_TRIPS; consumed by ModelSwitchController).
-  int quarantine_trips = 3;
-  /// ...within this many simulation steps (SFN_GUARD_WINDOW).
-  int quarantine_window = 20;
 
   /// Code defaults overridden by the SFN_GUARD_* environment knobs.
   [[nodiscard]] static GuardParams from_env();

@@ -93,8 +93,8 @@ void hash_session(Fnv1a* h, const core::SessionConfig& session) {
   h->add_u64(session.controller.predictor.knn_k);
   h->add_i32(session.guard.enabled ? 1 : 0);
   h->add_f64(session.guard.residual_threshold);
-  h->add_i32(session.guard.quarantine_trips);
-  h->add_i32(session.guard.quarantine_window);
+  h->add_i32(session.controller.quarantine_trips);
+  h->add_i32(session.controller.quarantine_window);
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ std::string env_str(const std::string& name, const std::string& fallback);
 
 /// Read an enumerated environment variable: returns the variable's value
 /// when it is one of `allowed`, otherwise `fallback` (unset, empty and
-/// unrecognised all fall back). Used for e.g. SFN_CONV_ALGO.
+/// unrecognised all fall back). Used for e.g. SFN_GUARD.
 std::string env_choice(const std::string& name,
                        std::initializer_list<std::string_view> allowed,
                        const std::string& fallback);

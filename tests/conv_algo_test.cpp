@@ -1,10 +1,9 @@
-// Tests for the inference fast path: im2col+GEMM vs naive conv parity,
-// ConvAlgo dispatch, batched evaluation, and workspace reuse (the
-// steady-state inference loop must not touch the heap).
+// Tests for the inference fast path: im2col layout, ConvAlgo dispatch,
+// batched evaluation, and workspace reuse (the steady-state inference loop
+// must not touch the heap).
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/gemm.hpp"
 #include "nn/im2col.hpp"
 #include "nn/network.hpp"
 #include "nn/workspace.hpp"
@@ -18,7 +17,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <new>
-#include <thread>
 #include <vector>
 
 // ---------------------------------------------------------------------------
@@ -75,40 +73,6 @@ void expect_close(const Tensor& a, const Tensor& b, double rel_tol) {
   }
 }
 
-struct ConvCase {
-  int in_c;
-  int out_c;
-  int k;
-  int h;
-  int w;
-  bool residual;
-};
-
-TEST(ConvAlgoParity, GemmMatchesNaiveAcrossShapes) {
-  const ConvCase cases[] = {
-      {1, 1, 1, 8, 8, false},    {2, 8, 3, 16, 16, false},
-      {8, 8, 3, 19, 23, true},   {16, 16, 3, 32, 32, false},
-      {16, 16, 3, 17, 13, true}, {4, 6, 5, 21, 21, false},
-      {8, 8, 5, 15, 33, true},   {16, 1, 1, 24, 24, false},
-      {3, 5, 5, 9, 31, false},   {8, 8, 1, 19, 17, true},
-  };
-  nn::Workspace ws;
-  for (const auto& c : cases) {
-    SCOPED_TRACE(testing::Message()
-                 << "in_c=" << c.in_c << " out_c=" << c.out_c << " k=" << c.k
-                 << " h=" << c.h << " w=" << c.w << " res=" << c.residual);
-    nn::Conv2D conv(c.in_c, c.out_c, c.k, c.residual);
-    const Tensor input = random_tensor(
-        Shape{c.in_c, c.h, c.w},
-        0x900dull ^ (static_cast<std::uint64_t>(c.in_c) << 8) ^ c.k);
-    Tensor naive;
-    Tensor gemm;
-    conv.forward_naive_into(input, naive);
-    conv.forward_gemm_into(input, gemm, ws);
-    expect_close(naive, gemm, 1e-5);
-  }
-}
-
 TEST(ConvAlgoParity, Im2colUnfoldsCorrectly) {
   const int c = 3, h = 5, w = 7, k = 3;
   const Tensor input = random_tensor(Shape{c, h, w}, 77);
@@ -157,59 +121,29 @@ TEST(ConvAlgoParity, RangedIm2colMatchesFull) {
   }
 }
 
-TEST(ConvAlgoParity, SgemmAccMatchesReference) {
-  const int M = 5, K = 37;
-  const std::size_t N = 67;  // Not a multiple of the strip width.
-  util::Rng rng(123);
-  std::vector<float> a(static_cast<std::size_t>(M) * K);
-  std::vector<float> b(static_cast<std::size_t>(K) * N);
-  std::vector<float> c(static_cast<std::size_t>(M) * N);
-  for (auto& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  for (auto& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  for (auto& v : c) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-
-  std::vector<float> expected = c;
-  for (int i = 0; i < M; ++i) {
-    for (std::size_t j = 0; j < N; ++j) {
-      double acc = expected[static_cast<std::size_t>(i) * N + j];
-      for (int p = 0; p < K; ++p) {
-        acc += static_cast<double>(a[static_cast<std::size_t>(i) * K + p]) *
-               b[static_cast<std::size_t>(p) * N + j];
-      }
-      expected[static_cast<std::size_t>(i) * N + j] = static_cast<float>(acc);
-    }
-  }
-
-  nn::sgemm_acc(M, N, K, a.data(), K, b.data(), N, c.data(), N);
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    ASSERT_NEAR(expected[i], c[i], 1e-4) << "at " << i;
-  }
-}
-
 TEST(ConvAlgoDispatch, OverrideForcesAlgorithm) {
-  nn::Conv2D conv(16, 16, 3);
+  // The layer's precision overrides the shape rule; for float layers the
+  // shape alone picks the kernel.
+  nn::Conv2D wide(16, 16, 3);
+  nn::Conv2D proj(8, 1, 3);  // A ladder model's final projection.
   const Shape big{16, 64, 64};
   const Shape tiny{16, 4, 4};
 
-  nn::set_conv_algo_override(nn::ConvAlgo::kNaive);
-  EXPECT_EQ(nn::ConvAlgo::kNaive, conv.choose_algo(big));
-  nn::set_conv_algo_override(nn::ConvAlgo::kIm2colGemm);
-  EXPECT_EQ(nn::ConvAlgo::kIm2colGemm, conv.choose_algo(tiny));
-  nn::set_conv_algo_override(nn::ConvAlgo::kAuto);
-  // Auto prefers the packed microkernel for shapes wide enough to fill
-  // register panels, and the naive loop for tiny ones.
-  EXPECT_EQ(nn::ConvAlgo::kPacked, conv.choose_algo(big));
-  EXPECT_EQ(nn::ConvAlgo::kNaive, conv.choose_algo(tiny));
+  // Packed for shapes wide enough to amortise packing, narrow outputs
+  // included; naive for tiny images and for very short columns.
+  EXPECT_EQ(nn::ConvAlgo::kPacked, wide.choose_algo(big));
+  EXPECT_EQ(nn::ConvAlgo::kPacked, proj.choose_algo(Shape{8, 48, 48}));
+  EXPECT_EQ(nn::ConvAlgo::kNaive, wide.choose_algo(tiny));
+  EXPECT_EQ(nn::ConvAlgo::kNaive,
+            nn::Conv2D(8, 8, 1).choose_algo(Shape{8, 64, 64}));
 
-  // A per-layer precision beats any process-wide override: a quantized
-  // candidate must never silently run at full precision.
-  conv.set_precision(nn::Precision::kInt8);
-  nn::set_conv_algo_override(nn::ConvAlgo::kIm2colGemm);
-  EXPECT_EQ(nn::ConvAlgo::kInt8, conv.choose_algo(big));
-  conv.set_precision(nn::Precision::kBf16);
-  EXPECT_EQ(nn::ConvAlgo::kBf16, conv.choose_algo(big));
-  conv.set_precision(nn::Precision::kFloat32);
-  nn::set_conv_algo_override(nn::ConvAlgo::kAuto);
+  // A quantized candidate never runs at full precision, whatever the shape.
+  wide.set_precision(nn::Precision::kInt8);
+  EXPECT_EQ(nn::ConvAlgo::kInt8, wide.choose_algo(big));
+  EXPECT_EQ(nn::ConvAlgo::kInt8, wide.choose_algo(tiny));
+  wide.set_precision(nn::Precision::kBf16);
+  EXPECT_EQ(nn::ConvAlgo::kBf16, wide.choose_algo(big));
+  EXPECT_EQ(nn::ConvAlgo::kBf16, wide.choose_algo(tiny));
 }
 
 TEST(ConvAlgoDispatch, ForwardIntoMatchesForward) {
@@ -258,67 +192,20 @@ TEST(ForwardBatch, MatchesSequentialInference) {
   }
 }
 
-TEST(ConvAlgoDispatch, OverrideFlipDuringForwardBatchIsSafe) {
-  // set_conv_algo_override is documented as safe to call while inference
-  // runs on other threads (atomic with acquire/release ordering): a flip
-  // changes which kernel a conv picks, never the result beyond kernel
-  // tolerance. TSan verifies the absence of a data race; this test verifies
-  // the correctness contract by hammering flips while forward_batch runs.
-  nn::Network net;
-  net.emplace<nn::Conv2D>(2, 8, 3);
-  net.emplace<nn::ReLU>();
-  net.emplace<nn::Conv2D>(8, 8, 3, /*residual=*/true);
-  net.emplace<nn::Conv2D>(8, 1, 1);
-
-  std::vector<Tensor> inputs;
-  for (int i = 0; i < 24; ++i) {
-    inputs.push_back(random_tensor(Shape{2, 24, 24}, 4000 + i));
-  }
-
-  nn::set_conv_algo_override(nn::ConvAlgo::kAuto);
-  nn::Workspace ws;
-  std::vector<Tensor> expected;
-  for (const auto& in : inputs) {
-    expected.push_back(net.forward_inference(in, ws));
-  }
-
-  util::ThreadPool pool(4);
-  std::atomic<bool> stop{false};
-  std::thread flipper([&stop] {
-    const nn::ConvAlgo algos[] = {nn::ConvAlgo::kNaive,
-                                  nn::ConvAlgo::kIm2colGemm,
-                                  nn::ConvAlgo::kAuto};
-    std::size_t k = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      nn::set_conv_algo_override(algos[k++ % 3]);
-    }
-  });
-
-  for (int round = 0; round < 8; ++round) {
-    const std::vector<Tensor> batched = net.forward_batch(inputs, pool);
-    ASSERT_EQ(expected.size(), batched.size());
-    for (std::size_t i = 0; i < batched.size(); ++i) {
-      expect_close(expected[i], batched[i], 1e-5);
-    }
-  }
-
-  stop.store(true, std::memory_order_release);
-  flipper.join();
-  nn::set_conv_algo_override(nn::ConvAlgo::kAuto);
-}
-
 TEST(WorkspaceReuse, SteadyStateInferenceIsAllocationFree) {
   // Single OpenMP thread so runtime team bookkeeping cannot allocate
   // behind our back; the property under test is our own kernel code.
   const int old_threads = omp_get_max_threads();
   omp_set_num_threads(1);
 
+  // Packed fused conv+ReLU pairs, then a naive 1x1 projection.
   nn::Network net;
   net.emplace<nn::Conv2D>(2, 8, 3);
   net.emplace<nn::ReLU>();
   net.emplace<nn::Conv2D>(8, 8, 3, /*residual=*/true);
   net.emplace<nn::ReLU>();
   net.emplace<nn::Conv2D>(8, 1, 1);
+  net.prepack_for_inference();
 
   const Tensor input = random_tensor(Shape{2, 48, 48}, 9);
   nn::Workspace ws;

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -112,7 +113,9 @@ workload::InputProblem make_problem(int steps) {
 core::SessionConfig make_config(int every, Fault fault,
                                 CorruptingSolver::Shared* shared) {
   core::SessionConfig config;
-  config.guard = runtime::GuardParams{};  // Defaults, not env.
+  // Defaults, not env.
+  config.controller = runtime::ControllerParams{};
+  config.guard = runtime::GuardParams{};
   config.solver_decorator = [=](std::size_t,
                                 std::unique_ptr<fluid::PoissonSolver>) {
     // Replace the surrogate outright with a corrupted exact solver:
@@ -199,6 +202,29 @@ TEST(FaultInjection, PersistentFaultsQuarantineThenDegradeToExactSolver) {
   // trace, but it is a degradation, not a restart.
   ASSERT_FALSE(result.events.empty());
   EXPECT_EQ(result.events.back().decision, runtime::Decision::kRestartPcg);
+}
+
+TEST(FaultInjection, SessionQuarantineThresholdIsHonoured) {
+  obs::reset_metrics();
+  CorruptingSolver::Shared shared;
+  const auto artifacts = make_artifacts();
+  const auto problem = make_problem(/*steps=*/20);
+  // The persistent faults above, on a session that quarantines on the
+  // first trip: each candidate falls after one re-solved step, not three.
+  auto config = make_config(/*every=*/1, Fault::kSpike, &shared);
+  config.controller.quarantine_trips = 1;
+  const auto result = core::run_adaptive(problem, artifacts, config);
+
+  EXPECT_FALSE(result.restarted_with_pcg);
+  EXPECT_EQ(result.quarantined_models.size(), 2u);
+  EXPECT_EQ(obs::counter("runtime.quarantines").value(), 2u);
+  EXPECT_EQ(result.fallback_steps, 2);
+  ASSERT_EQ(result.model_per_step.size(),
+            static_cast<std::size_t>(problem.steps));
+  for (std::size_t step = 2; step < result.model_per_step.size(); ++step) {
+    EXPECT_EQ(result.model_per_step[step], core::SessionResult::kPcgModelId)
+        << "step " << step;
+  }
 }
 
 // --- Adversarial scene families under fault injection ---------------------
@@ -325,6 +351,18 @@ TEST(FallbackPolicy, NanFirewallStatsTripDespiteSmallResidual) {
   runtime::FallbackPolicy policy{runtime::GuardParams{}};
   const auto outcome = policy.inspect(flags, rhs, &pressure, stats);
   EXPECT_TRUE(outcome.fallback);
+}
+
+TEST(GuardParams, MalformedResidualThresholdFallsBackToDefault) {
+  // Trailing junk must reject the whole value, not half-parse "2.5x" as 2.5.
+  for (const char* bad : {"2.5x", "8x", "-1", "inf"}) {
+    SCOPED_TRACE(bad);
+    ::setenv("SFN_GUARD_RESIDUAL", bad, 1);
+    EXPECT_EQ(runtime::GuardParams::from_env().residual_threshold, 8.0);
+  }
+  ::setenv("SFN_GUARD_RESIDUAL", "2.5", 1);
+  EXPECT_EQ(runtime::GuardParams::from_env().residual_threshold, 2.5);
+  ::unsetenv("SFN_GUARD_RESIDUAL");
 }
 
 TEST(FallbackPolicy, DisabledGuardInspectsNothing) {

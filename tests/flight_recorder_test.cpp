@@ -90,7 +90,9 @@ TEST(FlightRecorder, GuardTripBurstTriggersBoundedDump) {
   const auto artifacts = test::make_test_artifacts();
   const auto problem = test::make_test_problem(17, /*grid=*/16, /*steps=*/12);
   core::SessionConfig session;
-  session.guard = runtime::GuardParams{};  // Defaults, not env.
+  // Defaults, not env.
+  session.controller = runtime::ControllerParams{};
+  session.guard = runtime::GuardParams{};
   session.solver_decorator = [](std::size_t,
                                 std::unique_ptr<fluid::PoissonSolver>) {
     return std::make_unique<NanSolver>(std::make_unique<fluid::PcgSolver>());

@@ -1,13 +1,14 @@
 // Tests for the SIMD microkernel layer (nn/kernels, DESIGN.md §13):
 // packed-vs-naive parity, scalar-vs-SIMD bit-exactness, fused-ReLU
-// epilogues, pack-cache invalidation on weight mutation and on
-// SFN_CONV_ALGO flips, and the zero-allocation steady state.
+// epilogues (in the kernels and across a whole network), pack-cache
+// invalidation on weight mutation, and the zero-allocation steady state.
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/kernels/isa.hpp"
 #include "nn/network.hpp"
 #include "nn/workspace.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
@@ -84,7 +85,8 @@ struct ConvCase {
 };
 
 // Shapes chosen to exercise every microkernel edge: partial panels
-// (out_c % 6 != 0), partial strips (pixels % 16 != 0), 1x1 convs (B taken
+// (out_c % 6 != 0, down to the 1-3 row panels of every model's final
+// projection), partial strips (pixels % 16 != 0), 1x1 convs (B taken
 // straight from the input), the im2col chunking boundary, and residuals.
 const ConvCase kCases[] = {
     {1, 1, 1, 8, 8, false},    {2, 8, 3, 16, 16, false},
@@ -93,6 +95,8 @@ const ConvCase kCases[] = {
     {8, 8, 5, 15, 33, true},   {16, 1, 1, 24, 24, false},
     {3, 5, 5, 9, 31, false},   {8, 8, 1, 19, 17, true},
     {2, 7, 3, 16, 16, false},  {8, 13, 3, 64, 64, false},
+    {8, 1, 3, 48, 48, false},  {4, 1, 3, 33, 47, false},
+    {16, 2, 3, 31, 29, false}, {8, 3, 5, 24, 40, false},
 };
 
 TEST(PackedKernel, MatchesNaiveAcrossShapes) {
@@ -162,27 +166,26 @@ TEST(PackedKernel, FusedReluMatchesSeparatePass) {
 }
 
 TEST(PackedKernel, NetworkElidesReluAfterFusingConv) {
-  // forward_inference must produce the identical result whether or not the
-  // conv+ReLU fusion fires (fusion reorders nothing — ReLU lands in the
-  // store epilogue).
+  // forward_inference folds every Conv→ReLU pair into the conv's epilogue,
+  // on the packed and the naive path alike; fusion reorders nothing, so the
+  // result equals the layer-by-layer Network::forward bit for bit.
   nn::Network net;
-  net.emplace<nn::Conv2D>(2, 8, 3);
+  net.emplace<nn::Conv2D>(2, 8, 3);  // Packed.
   net.emplace<nn::ReLU>();
-  net.emplace<nn::Conv2D>(8, 8, 3, /*residual=*/true);
+  net.emplace<nn::Conv2D>(8, 8, 3, /*residual=*/true);  // Packed.
   net.emplace<nn::ReLU>();
-  net.emplace<nn::Conv2D>(8, 1, 1);
+  net.emplace<nn::Conv2D>(8, 4, 1);  // Naive: 8 taps.
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::Conv2D>(4, 1, 3);  // Packed, one-row panel.
   const Tensor input = random_tensor(Shape{2, 32, 32}, 0xabc);
 
-  nn::set_conv_algo_override(nn::ConvAlgo::kPacked);
-  nn::Workspace ws_fused;
-  const Tensor fused = net.forward_inference(input, ws_fused);
-
-  nn::set_conv_algo_override(nn::ConvAlgo::kIm2colGemm);  // No fused epilogue.
-  nn::Workspace ws_plain;
-  const Tensor plain = net.forward_inference(input, ws_plain);
-  nn::set_conv_algo_override(nn::ConvAlgo::kAuto);
-
-  expect_close(plain, fused, 1e-5);
+  const Tensor unfused = net.forward(input, /*train=*/false);
+  obs::Counter& fused = obs::counter("nn.conv.fused_relu_calls");
+  const std::uint64_t before = fused.value();
+  nn::Workspace ws;
+  const Tensor& inferred = net.forward_inference(input, ws);
+  EXPECT_EQ(fused.value() - before, 3u);
+  expect_bit_identical(unfused, inferred);
 }
 
 TEST(PackedKernel, WeightMutationInvalidatesPack) {
@@ -209,51 +212,28 @@ TEST(PackedKernel, WeightMutationInvalidatesPack) {
   EXPECT_GT(pack_after->revision, pack_before->revision);
 }
 
-TEST(PackedKernel, AlgoFlipMidSessionNeverUsesStalePack) {
-  // Regression for the auto-selection bug class: flip SFN_CONV_ALGO
-  // between forwards while also mutating weights; every forward must
-  // reflect the current weights no matter which kernel serves it.
-  nn::Conv2D conv(3, 9, 3);
-  nn::Workspace ws;
-  const Tensor input = random_tensor(Shape{3, 24, 24}, 0x71ed);
-
-  const nn::ConvAlgo schedule[] = {
-      nn::ConvAlgo::kPacked, nn::ConvAlgo::kIm2colGemm, nn::ConvAlgo::kPacked,
-      nn::ConvAlgo::kNaive,  nn::ConvAlgo::kAuto,       nn::ConvAlgo::kPacked,
-  };
-  for (std::size_t round = 0; round < std::size(schedule); ++round) {
-    SCOPED_TRACE(testing::Message() << "round " << round);
-    conv.weight(static_cast<int>(round % 9), 1, 1, 1) +=
-        0.1f * static_cast<float>(round + 1);
-    nn::set_conv_algo_override(schedule[round]);
-    Tensor out;
-    conv.forward_into(input, out, ws);
-    Tensor naive;
-    conv.forward_naive_into(input, naive);
-    expect_close(naive, out, 1e-5);
-  }
-  nn::set_conv_algo_override(nn::ConvAlgo::kAuto);
-}
-
 TEST(PackedKernel, SteadyStatePackedInferenceIsAllocationFree) {
   const int old_threads = omp_get_max_threads();
   omp_set_num_threads(1);
 
+  // Every conv here runs the packed kernel, down to the one-row panel of
+  // the final projection; WorkspaceReuse covers the mixed packed/naive net.
   nn::Network net;
   net.emplace<nn::Conv2D>(2, 8, 3);
   net.emplace<nn::ReLU>();
   net.emplace<nn::Conv2D>(8, 8, 3, /*residual=*/true);
   net.emplace<nn::ReLU>();
-  net.emplace<nn::Conv2D>(8, 1, 1);
+  net.emplace<nn::Conv2D>(8, 1, 3);
   net.prepack_for_inference();
 
-  nn::set_conv_algo_override(nn::ConvAlgo::kPacked);
   const Tensor input = random_tensor(Shape{2, 48, 48}, 0xa110c);
   nn::Workspace ws;
   for (int warm = 0; warm < 3; ++warm) {
     net.forward_inference(input, ws);
   }
 
+  obs::Counter& packed_calls = obs::counter("nn.conv.packed_calls");
+  const std::uint64_t packed_before = packed_calls.value();
   g_alloc_count.store(0);
   g_count_allocs.store(true);
   double checksum = 0.0;
@@ -261,8 +241,9 @@ TEST(PackedKernel, SteadyStatePackedInferenceIsAllocationFree) {
     checksum += net.forward_inference(input, ws).sum();
   }
   g_count_allocs.store(false);
-  nn::set_conv_algo_override(nn::ConvAlgo::kAuto);
 
+  EXPECT_EQ(packed_calls.value() - packed_before, 8u * 3u)
+      << "a conv left the packed kernel";
   EXPECT_EQ(0u, g_alloc_count.load())
       << "steady-state packed inference touched the heap";
   EXPECT_TRUE(std::isfinite(checksum));

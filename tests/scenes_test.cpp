@@ -121,6 +121,22 @@ TEST_F(SceneHashSensitivity, InflowRateAndSmokeChangeHash) {
   EXPECT_NE(hash_of(base), hash_of(moved));
 }
 
+TEST_F(SceneHashSensitivity, QuarantineThresholdsChangeHash) {
+  // A session's quarantine thresholds change which solver runs each step,
+  // so two sessions differing only there must not share a cached result.
+  const auto problem =
+      workload::make_scene(SceneFamily::kShearLayer, 42, {16, 12});
+  const auto artifacts = test::make_test_artifacts();
+  const core::SessionConfig base;
+  auto trips = base;
+  trips.controller.quarantine_trips += 1;
+  auto window = base;
+  window.controller.quarantine_window += 1;
+  const auto h = serve::scene_hash_adaptive(problem, artifacts, base);
+  EXPECT_NE(h, serve::scene_hash_adaptive(problem, artifacts, trips));
+  EXPECT_NE(h, serve::scene_hash_adaptive(problem, artifacts, window));
+}
+
 TEST_F(SceneHashSensitivity, EdgesAndVorticesChangeHash) {
   const auto base =
       workload::make_scene(SceneFamily::kVortexRing, 42, {16, 12});

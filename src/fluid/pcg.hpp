@@ -1,7 +1,9 @@
 #pragma once
 
+#include "fluid/handoff.hpp"
 #include "fluid/poisson.hpp"
 
+#include <cstdint>
 #include <vector>
 
 namespace sfn::fluid {
@@ -26,8 +28,15 @@ struct PcgParams {
 };
 
 /// Preconditioned conjugate gradients on the flag-aware pressure Laplacian.
-/// Matrix-free: the stencil is re-derived from the flags each solve, and
-/// the IC/MIC factorisation is rebuilt when the flags change.
+///
+/// The 5-point stencil is cached per cell (one byte of fluid-neighbour bits
+/// plus the A diagonal) together with the IC/MIC factor, and both are
+/// rebuilt only when the flag grid changes. The IC/MIC triangular sweeps
+/// run as a pipeline over row bands when the calling thread may use more
+/// than one OpenMP thread; every cell evaluates the same expression on
+/// the same neighbour values whatever the team size, and the dot products
+/// keep the fixed order of fluid/reduce.hpp, so a solve returns the same
+/// bits under any OMP_NUM_THREADS.
 class PcgSolver final : public PoissonSolver {
  public:
   explicit PcgSolver(PcgParams params = {}) : params_(params) {}
@@ -40,25 +49,35 @@ class PcgSolver final : public PoissonSolver {
   [[nodiscard]] const PcgParams& params() const { return params_; }
 
  private:
-  void build_preconditioner(const FlagGrid& flags);
-  void apply_preconditioner(const FlagGrid& flags, const GridF& r, GridF* z);
-  void ensure_scratch(int nx, int ny);
+  void build_stencil();
+  void build_preconditioner();
+  /// z = M^-1 r; returns the dot product z.r.
+  double precondition();
+  double precondition_ic();
 
   PcgParams params_;
-  // Cached MIC/IC factor diag^(-1/2); rebuilt when the flag grid changes.
-  GridD precond_diag_;
-  FlagGrid cached_flags_;
-  bool precond_valid_ = false;
 
-  /// Per-solve vectors, hoisted out of solve() so the hundreds of solves a
-  /// simulation makes reuse one set of grids instead of reallocating seven
-  /// full grids per call. Every cell each solve reads is written earlier in
-  /// that same solve, so no per-call zeroing is needed (see solve()).
-  struct Scratch {
-    GridD p, r, s, as, z, ic_q;
-    GridF rf, zf;
-  };
-  Scratch scratch_;
+  /// Stencil cache of cached_flags_, rebuilt (into the same buffers) when
+  /// the flags change: per-cell fluid/neighbour bits, the A diagonal
+  /// (count of non-solid neighbours), and the preconditioner (IC/MIC
+  /// factor diag^(-1/2), or the Jacobi inverse diagonal).
+  FlagGrid cached_flags_;
+  bool stencil_valid_ = false;
+  std::vector<std::uint8_t> stencil_;
+  std::vector<double> diag_;
+  std::vector<double> precond_;
+
+  /// Per-solve vectors over the flat row-major grid, reused by every solve
+  /// at this resolution. Only fluid cells are ever read, and each solve
+  /// writes those before reading them. z is stored as float because the
+  /// preconditioner's output is rounded to float by definition.
+  std::vector<double> p_, r_, s_, as_, q_;
+  std::vector<float> z_;
+  /// Per-row partials: dot products and residual maxima.
+  std::vector<double> row_partial_;
+
+  /// One progress counter per row band of the pipelined sweeps.
+  std::vector<ChunkHandoff> handoffs_;
 };
 
 }  // namespace sfn::fluid

@@ -22,9 +22,9 @@ namespace sfn::fluid {
 /// for any thread count, including 1. Max-reductions do not need this
 /// treatment (IEEE max is order-independent); only +-reductions do.
 ///
-/// The partial buffers are thread_local so steady-state callers (PCG runs
-/// one dot per iteration) allocate only until the largest row count has
-/// been seen once on that thread.
+/// The partial buffers are thread_local so steady-state callers allocate
+/// only until the largest row count has been seen once on that thread.
+/// (PcgSolver keeps this order in its own fused passes, pcg.cpp.)
 
 /// Sum of row_sum(j) for j in [0, ny), accumulation order fixed.
 /// `row_sum` must itself be deterministic (sequential within the row).

@@ -1,14 +1,52 @@
+#include "fluid/handoff.hpp"
 #include "fluid/multigrid.hpp"
 #include "fluid/operators.hpp"
 #include "fluid/pcg.hpp"
 #include "fluid/relaxation.hpp"
+#include "pcg_reference.hpp"
 #include "util/rng.hpp"
+#include "workload/evaluate.hpp"
 #include "workload/obstacles.hpp"
+#include "workload/problems.hpp"
+#include "workload/scenes.hpp"
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <new>
+#include <string>
+#include <thread>
+#include <vector>
+
+// ---------------------------------------------------------------------------
+// Armed allocation counter (same scheme as packed_kernel_test.cpp).
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+namespace {
+std::atomic<bool> g_count_allocs{false};
+std::atomic<std::size_t> g_alloc_count{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n ? n : 1)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// ---------------------------------------------------------------------------
 
 namespace sfn {
 namespace {
@@ -115,6 +153,313 @@ TEST(Pcg, ZeroRhsGivesZeroSolution) {
   EXPECT_TRUE(stats.converged);
   EXPECT_EQ(stats.iterations, 0);
   EXPECT_DOUBLE_EQ(p.max_abs(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Bit-identity of the optimised solver: against the original solver kept
+// as a test oracle (pcg_reference.hpp), across OpenMP team sizes, and with
+// no heap traffic once warm.
+
+bool same_bits(const GridF& a, const GridF& b) {
+  return a.nx() == b.nx() && a.ny() == b.ny() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Random mix of all four cell types (the border included, so fluid cells
+/// sit on the grid edge too), crossed by 1-cell fluid channels between
+/// solid walls, one ending in an empty cell and one in an inflow cell.
+FlagGrid random_flags(int nx, int ny, std::uint64_t seed) {
+  util::Rng rng(seed);
+  FlagGrid flags(nx, ny, CellType::kFluid);
+  for (int j = 0; j < ny; ++j) {
+    for (int i = 0; i < nx; ++i) {
+      const double u = rng.uniform(0.0, 1.0);
+      if (u < 0.12) {
+        flags.set(i, j, CellType::kSolid);
+      } else if (u < 0.16) {
+        flags.set(i, j, CellType::kEmpty);
+      } else if (u < 0.20) {
+        flags.set(i, j, CellType::kInflow);
+      }
+    }
+  }
+  auto set_if_inside = [&](int i, int j, CellType t) {
+    if (i >= 0 && i < nx && j >= 0 && j < ny) flags.set(i, j, t);
+  };
+  const int cj = ny / 2;
+  for (int i = 0; i < nx; ++i) {
+    set_if_inside(i, cj - 1, CellType::kSolid);
+    set_if_inside(i, cj, CellType::kFluid);
+    set_if_inside(i, cj + 1, CellType::kSolid);
+  }
+  set_if_inside(nx - 1, cj, CellType::kEmpty);
+  const int ci = nx / 3;
+  for (int j = 0; j < ny; ++j) {
+    set_if_inside(ci - 1, j, CellType::kSolid);
+    set_if_inside(ci, j, CellType::kFluid);
+    set_if_inside(ci + 1, j, CellType::kSolid);
+  }
+  set_if_inside(ci, ny - 1, CellType::kInflow);
+  return flags;
+}
+
+GridF random_field(int nx, int ny, std::uint64_t seed, double scale) {
+  util::Rng rng(seed);
+  GridF field(nx, ny, 0.0f);
+  for (std::size_t k = 0; k < field.size(); ++k) {
+    field[k] = static_cast<float>(rng.uniform(-scale, scale));
+  }
+  return field;
+}
+
+/// A right-hand side in the range of A (b = A x for a random x), so that
+/// the solve converges even on enclosed, pure-Neumann fluid pockets.
+GridF consistent_rhs(const FlagGrid& flags, std::uint64_t seed) {
+  const GridF x = random_field(flags.nx(), flags.ny(), seed, 1.0);
+  GridF rhs(flags.nx(), flags.ny(), 0.0f);
+  fluid::apply_pressure_laplacian(x, flags, &rhs);
+  return rhs;
+}
+
+/// Runs fn() with a one-thread OpenMP team; used for the oracle. Its
+/// results do not depend on the team size, one thread is much faster under
+/// ThreadSanitizer, and it keeps the oracle's plain parallel regions out of
+/// the TSan legs, which are there for the optimised solver's.
+template <typename Fn>
+auto single_threaded(Fn&& fn) {
+  const int threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+  auto result = fn();
+  omp_set_num_threads(threads);
+  return result;
+}
+
+const Preconditioner kAllPreconditioners[] = {
+    Preconditioner::kNone, Preconditioner::kJacobi, Preconditioner::kIC0,
+    Preconditioner::kMIC0};
+
+TEST(Pcg, MatchesReferenceBitwise) {
+  struct Shape {
+    int nx, ny;
+  };
+  const Shape shapes[] = {{37, 53}, {5, 200}, {200, 5}, {128, 128}};
+  std::uint64_t seed = 100;
+  for (const Shape shape : shapes) {
+    const int nx = shape.nx;
+    const int ny = shape.ny;
+    const FlagGrid flags = random_flags(nx, ny, ++seed);
+    // An arbitrary rhs leaves the enclosed pockets unsolvable, so those
+    // solves run to a (short) iteration cap; the consistent one converges.
+    const struct {
+      GridF rhs;
+      int max_iterations;
+    } rhs_cases[] = {{random_field(nx, ny, ++seed, 0.1), 40},
+                     {consistent_rhs(flags, ++seed), 250}};
+    for (const auto& [rhs, max_iterations] : rhs_cases) {
+      for (const Preconditioner pre : kAllPreconditioners) {
+        PcgParams params;
+        params.preconditioner = pre;
+        params.max_iterations = max_iterations;
+        GridF converged(nx, ny, 0.0f);
+        single_threaded([&] {
+          return test::ReferencePcg(params).solve(flags, rhs, &converged);
+        });
+        const GridF guesses[] = {GridF(nx, ny, 0.0f),
+                                 random_field(nx, ny, ++seed, 0.5),
+                                 converged};
+        // One instance of each solver across the three solves, so the
+        // stencil and factor caches are exercised too.
+        PcgSolver solver(params);
+        test::ReferencePcg reference(params);
+        for (const GridF& guess : guesses) {
+          SCOPED_TRACE(::testing::Message()
+                       << solver.name() << " " << nx << "x" << ny
+                       << " guess#" << (&guess - guesses)
+                       << " cap=" << max_iterations);
+          GridF expected = guess;
+          GridF actual = guess;
+          const auto want = single_threaded(
+              [&] { return reference.solve(flags, rhs, &expected); });
+          const auto got = solver.solve(flags, rhs, &actual);
+          EXPECT_TRUE(same_bits(expected, actual));
+          EXPECT_EQ(want.iterations, got.iterations);
+          EXPECT_TRUE(same_bits(want.residual, got.residual))
+              << want.residual << " vs " << got.residual;
+          EXPECT_EQ(want.converged, got.converged);
+          EXPECT_EQ(want.flops, got.flops);
+        }
+      }
+    }
+  }
+}
+
+TEST(Pcg, RolloutsMatchReferenceBitwise) {
+  // Whole simulations: a plume, and a moving obstacle that changes the
+  // flags (and so rebuilds the stencil cache) on every step.
+  workload::ProblemSetParams plume_params;
+  plume_params.grid = 64;
+  plume_params.steps = 16;
+  const workload::InputProblem problems[] = {
+      workload::generate_problems(1, plume_params, 7).front(),
+      workload::make_scene(workload::SceneFamily::kMovingObstacle, 7,
+                           {64, 16})};
+  for (const auto& problem : problems) {
+    test::ReferencePcg reference;
+    PcgSolver solver;
+    const auto want = single_threaded(
+        [&] { return workload::run_simulation(problem, &reference); });
+    const auto got = workload::run_simulation(problem, &solver);
+    EXPECT_TRUE(same_bits(want.final_density, got.final_density));
+    EXPECT_EQ(want.solve_flops, got.solve_flops);
+  }
+}
+
+TEST(Pcg, TeamSizeDoesNotChangeBits) {
+  const int old_threads = omp_get_max_threads();
+  struct Case {
+    FlagGrid flags;
+    GridF rhs;
+  };
+  std::vector<Case> cases;
+  // 128x8 has fewer row bands than the larger teams have threads.
+  for (const auto& [nx, ny] : {std::pair{128, 128}, std::pair{37, 53},
+                              std::pair{128, 8}, std::pair{5, 200}}) {
+    const FlagGrid flags = random_flags(nx, ny, 40u + nx + ny);
+    cases.push_back({flags, consistent_rhs(flags, 50u + nx + ny)});
+  }
+  cases.push_back({open_box(64), random_rhs(open_box(64), 9)});
+  for (const Preconditioner pre : kAllPreconditioners) {
+    PcgParams params;
+    params.preconditioner = pre;
+    params.max_iterations = 250;
+    std::vector<GridF> serial;
+    for (const int threads : {1, 2, 3, 4, 8}) {
+      omp_set_num_threads(threads);
+      PcgSolver solver(params);
+      for (std::size_t c = 0; c < cases.size(); ++c) {
+        GridF p(cases[c].flags.nx(), cases[c].flags.ny(), 0.0f);
+        solver.solve(cases[c].flags, cases[c].rhs, &p);
+        if (threads == 1) {
+          serial.push_back(p);
+        } else {
+          EXPECT_TRUE(same_bits(serial[c], p))
+              << solver.name() << " threads=" << threads << " case " << c;
+        }
+      }
+    }
+    // With no active parallel level allowed, the solver's regions get a
+    // team of one while omp_get_max_threads() still plans four bands: the
+    // one thread then runs every band in pipeline order. (A solve called
+    // from inside a parallel region, nesting off, is in the same state.)
+    omp_set_num_threads(4);
+    const int old_levels = omp_get_max_active_levels();
+    omp_set_max_active_levels(0);
+    PcgSolver solver(params);
+    GridF p(128, 128, 0.0f);
+    solver.solve(cases[0].flags, cases[0].rhs, &p);
+    omp_set_max_active_levels(old_levels);
+    EXPECT_TRUE(same_bits(serial[0], p))
+        << solver.name() << " team of one, four bands";
+  }
+  omp_set_num_threads(old_threads);
+}
+
+TEST(Pcg, SteadyStateSolveIsAllocationFree) {
+  const FlagGrid flags = open_box(64);
+  FlagGrid moved = flags;
+  workload::Obstacle ob;
+  ob.kind = workload::Obstacle::Kind::kCircle;
+  ob.cx = 0.4;
+  ob.cy = 0.5;
+  ob.rx = ob.ry = 0.15;
+  workload::rasterize_obstacles({ob}, &moved);
+  const GridF rhs = random_rhs(flags, 21);
+  const GridF rhs2 = random_rhs(moved, 22);
+
+  PcgSolver solver;
+  GridF p(64, 64, 0.0f);
+  solver.solve(flags, rhs, &p);
+  fluid::poisson_residual(flags, rhs, p);
+
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  const auto warm = solver.solve(flags, rhs2, &p);
+  // Changed flags rebuild the stencil cache into the same buffers.
+  const auto rebuilt = solver.solve(moved, rhs2, &p);
+  const auto back = solver.solve(flags, rhs, &p);
+  const double residual = fluid::poisson_residual(moved, rhs2, p);
+  g_count_allocs.store(false);
+
+  EXPECT_EQ(0u, g_alloc_count.load()) << "a warm solve touched the heap";
+  EXPECT_TRUE(warm.converged && rebuilt.converged && back.converged);
+  EXPECT_TRUE(std::isfinite(residual));
+}
+
+TEST(ChunkHandoff, ChainedProducersHandOffEveryChunk) {
+  // A chain of stages on plain std::threads, as the pipelined sweeps use
+  // the handoff: stage t reads stage t-1's chunk c only after waiting for
+  // it, then writes its own chunk c and publishes. The chunk data are
+  // plain (non-atomic) writes, so a missing release/acquire edge is a
+  // data race ThreadSanitizer reports. Within a phase the counts keep
+  // growing over several rounds; a second phase starts from reset()
+  // counters, as every PCG sweep does. Run at the core count and
+  // oversubscribed, where waiters must yield to descheduled producers.
+  constexpr int kChunks = 64;
+  constexpr int kRounds = 8;
+  const int cores =
+      std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
+  for (const int stages : {cores, 4 * cores + 1}) {
+    std::vector<fluid::ChunkHandoff> handoff(static_cast<std::size_t>(stages));
+    std::vector<long> data(static_cast<std::size_t>(kRounds) * stages *
+                           kChunks);
+    auto at = [&](int round, int stage, int chunk) -> long& {
+      return data[(static_cast<std::size_t>(round) * stages + stage) *
+                      kChunks +
+                  chunk];
+    };
+    auto count = [](int round, int chunk) {
+      return static_cast<std::uint32_t>(round * kChunks + chunk + 1);
+    };
+    for (int phase = 0; phase < 2; ++phase) {
+      for (auto& h : handoff) {
+        h.reset();
+      }
+      std::vector<std::thread> threads;
+      for (int t = 0; t < stages; ++t) {
+        threads.emplace_back([&, t] {
+          for (int round = 0; round < kRounds; ++round) {
+            for (int c = 0; c < kChunks; ++c) {
+              long value = 1000L * round + c + phase;
+              if (t > 0) {
+                handoff[t - 1].wait_for(count(round, c));
+                value = at(round, t - 1, c) + 1;
+              }
+              at(round, t, c) = value;
+              handoff[t].publish(count(round, c));
+            }
+          }
+        });
+      }
+      // The consumer checks the last stage's chunks as they are published.
+      long mismatches = 0;
+      for (int round = 0; round < kRounds; ++round) {
+        for (int c = 0; c < kChunks; ++c) {
+          handoff[stages - 1].wait_for(count(round, c));
+          mismatches += at(round, stages - 1, c) !=
+                        1000L * round + c + phase + stages - 1;
+        }
+      }
+      for (auto& thread : threads) {
+        thread.join();
+      }
+      EXPECT_EQ(mismatches, 0) << stages << " stages, phase " << phase;
+    }
+  }
 }
 
 TEST(Jacobi, ConvergesOnSmallGrid) {

@@ -16,6 +16,7 @@
 #include "nn/im2col.hpp"
 #include "nn/kernels/isa.hpp"
 #include "nn/workspace.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 #include <benchmark/benchmark.h>
@@ -227,20 +228,44 @@ void BM_NeuralSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_NeuralSolve)->Arg(32)->Arg(64)->Arg(96);
 
+/// What a step's advection runs: density, then velocity, under the
+/// scheme in range(1) (0 semi-Lagrangian, 1 MacCormack), on a seeded
+/// random field whose backtraces reach up to two cells, so the samples
+/// next to the walls cross the border.
 void BM_Advection(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
+  const auto scheme = state.range(1) == 0
+                          ? fluid::AdvectionScheme::kSemiLagrangian
+                          : fluid::AdvectionScheme::kMacCormack;
   const auto flags = make_flags(n);
+  const double dt = 0.05;
+  const double two_cells = 2.0 / (dt * n);  // World speed of 2 cells/step.
+  util::Rng rng(5);
   fluid::MacGrid2 vel(n, n);
-  vel.fill(0.3f, 0.2f);
-  fluid::GridF src(n, n, 0.5f);
-  fluid::GridF dst(n, n, 0.0f);
-  for (auto _ : state) {
-    fluid::advect_scalar(vel, flags, 0.05, src, &dst);
-    benchmark::DoNotOptimize(dst);
+  for (float& u : vel.u().data()) {
+    u = static_cast<float>(rng.uniform(-two_cells, two_cells));
   }
-  state.SetItemsProcessed(state.iterations() * n * n);
+  for (float& v : vel.v().data()) {
+    v = static_cast<float>(rng.uniform(-two_cells, two_cells));
+  }
+  vel.enforce_solid_boundaries(flags);
+  fluid::GridF src(n, n, 0.0f);
+  for (float& d : src.data()) {
+    d = static_cast<float>(rng.uniform(0.0, 1.0));
+  }
+  fluid::GridF dst(n, n, 0.0f);
+  fluid::MacGrid2 vel_out(n, n);
+  for (auto _ : state) {
+    fluid::advect_scalar(vel, flags, dt, src, &dst, scheme);
+    fluid::advect_velocity(vel, flags, dt, &vel_out, scheme);
+    benchmark::DoNotOptimize(dst);
+    benchmark::DoNotOptimize(vel_out);
+  }
+  // Samples per step: n^2 cells, (n+1) n u faces, n (n+1) v faces.
+  state.SetItemsProcessed(state.iterations() * (3 * n * n + 2 * n));
+  state.SetLabel(state.range(1) == 0 ? "semi_lagrangian" : "maccormack");
 }
-BENCHMARK(BM_Advection)->Arg(64)->Arg(128);
+BENCHMARK(BM_Advection)->ArgsProduct({{48, 128}, {0, 1}});
 
 void BM_Divergence(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -1,6 +1,6 @@
 #include "fluid/flags.hpp"
 
-#include <deque>
+#include <cstddef>
 #include <limits>
 
 namespace sfn::fluid {
@@ -31,43 +31,55 @@ int FlagGrid::count_fluid() const {
 }
 
 Grid2<int> solid_distance_field(const FlagGrid& flags) {
+  Grid2<int> dist;
+  std::vector<int> queue;
+  solid_distance_field(flags, &dist, &queue);
+  return dist;
+}
+
+void solid_distance_field(const FlagGrid& flags, Grid2<int>* dist,
+                          std::vector<int>* queue) {
   const int nx = flags.nx();
   const int ny = flags.ny();
-  Grid2<int> dist(nx, ny, std::numeric_limits<int>::max());
-  std::deque<std::pair<int, int>> queue;
-
+  if (dist->nx() != nx || dist->ny() != ny) {
+    *dist = Grid2<int>(nx, ny);
+  }
+  dist->fill(std::numeric_limits<int>::max());
+  // Each cell is enqueued at most once (BFS finalises a cell's distance
+  // when it first reaches it), so nx * ny slots always suffice.
+  queue->resize(static_cast<std::size_t>(nx) * ny);
+  std::size_t tail = 0;
   for (int j = 0; j < ny; ++j) {
     for (int i = 0; i < nx; ++i) {
       if (flags.at(i, j) == CellType::kSolid) {
-        dist(i, j) = 0;
-        queue.emplace_back(i, j);
+        (*dist)(i, j) = 0;
+        (*queue)[tail++] = j * nx + i;
       }
     }
   }
   // No solids at all: define distance as a large constant everywhere.
-  if (queue.empty()) {
-    dist.fill(nx + ny);
-    return dist;
+  if (tail == 0) {
+    dist->fill(nx + ny);
+    return;
   }
 
   constexpr int kDx[4] = {1, -1, 0, 0};
   constexpr int kDy[4] = {0, 0, 1, -1};
-  while (!queue.empty()) {
-    const auto [i, j] = queue.front();
-    queue.pop_front();
+  for (std::size_t head = 0; head < tail; ++head) {
+    const int i = (*queue)[head] % nx;
+    const int j = (*queue)[head] / nx;
     for (int d = 0; d < 4; ++d) {
       const int ni = i + kDx[d];
       const int nj = j + kDy[d];
       if (ni < 0 || ni >= nx || nj < 0 || nj >= ny) {
         continue;
       }
-      if (dist(ni, nj) > dist(i, j) + 1) {
-        dist(ni, nj) = dist(i, j) + 1;
-        queue.emplace_back(ni, nj);
+      if ((*dist)(ni, nj) > (*dist)(i, j) + 1) {
+        (*dist)(ni, nj) = (*dist)(i, j) + 1;
+        (*queue)[tail++] = nj * nx + ni;
       }
     }
   }
-  return dist;
 }
 
 }  // namespace sfn::fluid

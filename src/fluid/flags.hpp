@@ -3,6 +3,7 @@
 #include "fluid/grid2.hpp"
 
 #include <cstdint>
+#include <vector>
 
 namespace sfn::fluid {
 
@@ -67,5 +68,12 @@ class FlagGrid {
 /// the nearest solid cell; solids get 0. Used for the DivNorm weighting
 /// w_i = max(1, k - d_i) of paper Eq. 5.
 Grid2<int> solid_distance_field(const FlagGrid& flags);
+
+/// solid_distance_field written into `dist` (reshaped to the flags if it
+/// differs), with `queue` as the BFS's flat FIFO. Neither allocates once
+/// both have held a grid of this size, so a simulation can refresh the
+/// field every step (moving obstacles) without touching the heap.
+void solid_distance_field(const FlagGrid& flags, Grid2<int>* dist,
+                          std::vector<int>* queue);
 
 }  // namespace sfn::fluid

@@ -1,6 +1,7 @@
 #include "fluid/smoke_sim.hpp"
 
 #include "fluid/operators.hpp"
+#include "fluid/team.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -55,7 +56,7 @@ void SmokeSim::refresh_moving_geometry(double t, bool clear_density) {
   }
   flags_ = base_flags_;
   rasterize_obstacles(moving_now_, &flags_);
-  solid_distance_ = solid_distance_field(flags_);
+  solid_distance_field(flags_, &solid_distance_, &distance_queue_);
   if (clear_density) {
     // Cells swallowed by a moving solid must not carry smoke back out
     // when the obstacle uncovers them.
@@ -226,19 +227,23 @@ void SmokeSim::restore_state(const GridF& density, const GridF& pressure,
   }
 }
 
-GridF SmokeSim::vorticity() const {
+float SmokeSim::vorticity_at(int i, int j) const {
   const int nx = flags_.nx();
   const int ny = flags_.ny();
-  GridF w(nx, ny, 0.0f);
-  for (int j = 0; j < ny; ++j) {
-    for (int i = 0; i < nx; ++i) {
-      // Centred differences of the cell-centre velocity field.
-      const auto [ur, vr] = vel_.at_center(std::min(i + 1, nx - 1), j);
-      const auto [ul, vl] = vel_.at_center(std::max(i - 1, 0), j);
-      const auto [uu, vu] = vel_.at_center(i, std::min(j + 1, ny - 1));
-      const auto [ud, vd] = vel_.at_center(i, std::max(j - 1, 0));
-      (void)ur; (void)ul; (void)vu; (void)vd;
-      w(i, j) = 0.5f * ((vr - vl) - (uu - ud));
+  // Centred differences of the cell-centre velocity field.
+  const auto [ur, vr] = vel_.at_center(std::min(i + 1, nx - 1), j);
+  const auto [ul, vl] = vel_.at_center(std::max(i - 1, 0), j);
+  const auto [uu, vu] = vel_.at_center(i, std::min(j + 1, ny - 1));
+  const auto [ud, vd] = vel_.at_center(i, std::max(j - 1, 0));
+  (void)ur; (void)ul; (void)vu; (void)vd;
+  return 0.5f * ((vr - vl) - (uu - ud));
+}
+
+GridF SmokeSim::vorticity() const {
+  GridF w(flags_.nx(), flags_.ny(), 0.0f);
+  for (int j = 0; j < flags_.ny(); ++j) {
+    for (int i = 0; i < flags_.nx(); ++i) {
+      w(i, j) = vorticity_at(i, j);
     }
   }
   return w;
@@ -250,19 +255,33 @@ void SmokeSim::add_vorticity_confinement() {
   // f = eps * dx * (N_y * w, -N_x * w).
   const int nx = flags_.nx();
   const int ny = flags_.ny();
-  const GridF w = vorticity();
-  GridF mag(nx, ny, 0.0f);
-  for (std::size_t k = 0; k < w.size(); ++k) {
-    mag[k] = std::abs(w[k]);
+  if (vorticity_.size() == 0) {
+    // Sized on the first confined step, so unconfined runs carry none.
+    for (GridF* g : {&vorticity_, &vorticity_mag_, &half_force_x_,
+                     &half_force_y_}) {
+      *g = GridF(nx, ny, 0.0f);
+    }
   }
+  GridF& w = vorticity_;
+  GridF& mag = vorticity_mag_;
+  for_rows(ny, [&](int j) {
+    for (int i = 0; i < nx; ++i) {
+      w(i, j) = vorticity_at(i, j);
+      mag(i, j) = std::abs(w(i, j));
+    }
+  });
 
+  // Interior fluid cells push on their four faces.
+  const auto pushes = [&](int i, int j) {
+    return i >= 1 && i < nx - 1 && j >= 1 && j < ny - 1 &&
+           flags_.is_fluid(i, j);
+  };
   const double dx = 1.0 / nx;
   const auto eps_dt =
       static_cast<float>(params_.vorticity_confinement * dx * params_.dt);
-#pragma omp parallel for schedule(static)
-  for (int j = 1; j < ny - 1; ++j) {
-    for (int i = 1; i < nx - 1; ++i) {
-      if (!flags_.is_fluid(i, j)) {
+  for_rows(ny, [&](int j) {
+    for (int i = 0; i < nx; ++i) {
+      if (!pushes(i, j)) {
         continue;
       }
       const float gx = 0.5f * (mag(i + 1, j) - mag(i - 1, j));
@@ -270,13 +289,40 @@ void SmokeSim::add_vorticity_confinement() {
       const float norm = std::sqrt(gx * gx + gy * gy) + 1e-6f;
       const float fx = (gy / norm) * w(i, j) * eps_dt;
       const float fy = -(gx / norm) * w(i, j) * eps_dt;
-      // Spread the cell-centred force onto the bounding faces.
-      vel_.u()(i, j) += 0.5f * fx;
-      vel_.u()(i + 1, j) += 0.5f * fx;
-      vel_.v()(i, j) += 0.5f * fy;
-      vel_.v()(i, j + 1) += 0.5f * fy;
+      half_force_x_(i, j) = 0.5f * fx;
+      half_force_y_(i, j) = 0.5f * fy;
     }
-  }
+  });
+
+  // Each face gathers the shares of its two cells in the order a serial
+  // cell loop adds them, left (lower) cell first, and only from cells that
+  // push: adding 0 would turn a -0.0 face into +0.0. One thread owns each
+  // face, so the bits do not depend on the team size.
+  GridF& u = vel_.u();
+  GridF& v = vel_.v();
+  for_rows(ny + ny + 1, [&](int r) {
+    if (r < ny) {
+      const int j = r;
+      for (int i = 0; i <= nx; ++i) {
+        if (pushes(i - 1, j)) {
+          u(i, j) += half_force_x_(i - 1, j);
+        }
+        if (pushes(i, j)) {
+          u(i, j) += half_force_x_(i, j);
+        }
+      }
+      return;
+    }
+    const int j = r - ny;
+    for (int i = 0; i < nx; ++i) {
+      if (pushes(i, j - 1)) {
+        v(i, j) += half_force_y_(i, j - 1);
+      }
+      if (pushes(i, j)) {
+        v(i, j) += half_force_y_(i, j);
+      }
+    }
+  });
 }
 
 StepTelemetry SmokeSim::step(PoissonSolver* solver, StepGuard* guard) {

@@ -118,6 +118,9 @@ class SmokeSim {
   [[nodiscard]] GridF vorticity() const;
 
  private:
+  /// Vorticity of cell (i, j), one cell of vorticity().
+  [[nodiscard]] float vorticity_at(int i, int j) const;
+
   void add_vorticity_confinement();
 
   /// Re-pose the moving obstacles at world time t and rasterise them onto
@@ -138,6 +141,9 @@ class SmokeSim {
   /// pin pass evaluates rigid-body velocities against these.
   std::vector<Obstacle> moving_now_;
   Grid2<int> solid_distance_;
+  /// BFS scratch of the per-step solid_distance_ refresh (moving
+  /// obstacles only).
+  std::vector<int> distance_queue_;
   GridF density_;
   GridF pressure_;
   GridF divergence_;
@@ -145,6 +151,13 @@ class SmokeSim {
   MacGrid2 vel_;
   MacGrid2 vel_scratch_;
   GridF density_scratch_;
+  /// Vorticity-confinement scratch, empty until the first confined step:
+  /// vorticity, its magnitude, and each cell's half force (the share it
+  /// adds to each of its two faces).
+  GridF vorticity_;
+  GridF vorticity_mag_;
+  GridF half_force_x_;
+  GridF half_force_y_;
   std::vector<SmokeSource> sources_;
   double cum_div_norm_ = 0.0;
   int steps_ = 0;

@@ -2,8 +2,14 @@
 #include "fluid/pcg.hpp"
 #include "fluid/relaxation.hpp"
 #include "fluid/smoke_sim.hpp"
+#include "workload/problems.hpp"
+#include "workload/scenes.hpp"
 
 #include <gtest/gtest.h>
+#include <omp.h>
+
+#include <cstring>
+#include <vector>
 
 namespace sfn {
 namespace {
@@ -197,6 +203,52 @@ TEST(SmokeSim, VorticityConfinementStaysStable) {
     ASSERT_GE(sim.density()[k], -1e-5f);
     ASSERT_LE(sim.density()[k], 1.0f + 1e-5f);
   }
+}
+
+bool same_bits(const fluid::GridF& a, const fluid::GridF& b) {
+  return a.nx() == b.nx() && a.ny() == b.ny() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+TEST(SmokeSim, VorticityConfinementTeamSizeDoesNotChangeBits) {
+  // Confinement spreads each cell's force onto its four faces, so a face
+  // gets shares from two cells; on two threads those can be rows of two
+  // different threads. A turbulent plume and a moving obstacle (solid
+  // faces that change every step) must give the one-thread bits at every
+  // team size.
+  workload::ProblemSetParams plume_params;
+  plume_params.grid = 48;
+  plume_params.steps = 12;
+  std::vector<workload::InputProblem> problems = {
+      workload::generate_problems(1, plume_params, 5).front(),
+      workload::make_scene(workload::SceneFamily::kMovingObstacle, 5,
+                           {48, 12})};
+  const int old_threads = omp_get_max_threads();
+  for (workload::InputProblem& problem : problems) {
+    problem.sim.vorticity_confinement = 8.0;
+    std::vector<fluid::GridF> serial;
+    for (const int threads : {1, 2, 3, 4, 8}) {
+      omp_set_num_threads(threads);
+      SmokeSim sim = workload::make_sim(problem);
+      PcgSolver pcg;
+      for (int step = 0; step < problem.steps; ++step) {
+        sim.step(&pcg);
+      }
+      const fluid::GridF fields[] = {sim.density(), sim.velocity().u(),
+                                     sim.velocity().v()};
+      for (std::size_t f = 0; f < 3; ++f) {
+        if (threads == 1) {
+          serial.push_back(fields[f]);
+        } else {
+          EXPECT_TRUE(same_bits(serial[f], fields[f]))
+              << "seed " << problem.seed << " threads=" << threads
+              << " field " << f;
+        }
+      }
+    }
+  }
+  omp_set_num_threads(old_threads);
 }
 
 TEST(SmokeSim, MacCormackMatchesSetting) {

@@ -400,6 +400,43 @@ TEST(Pcg, SteadyStateSolveIsAllocationFree) {
   EXPECT_TRUE(std::isfinite(residual));
 }
 
+TEST(SmokeSim, SteadyStateStepIsAllocationFree) {
+  // Once warm, a whole step touches no heap: MacCormack's intermediate
+  // fields, the confinement scratch and a moving obstacle's per-step
+  // solid-distance refresh all reuse their buffers.
+  workload::ProblemSetParams plume_params;
+  plume_params.grid = 48;
+  plume_params.steps = 8;
+  const workload::InputProblem bases[] = {
+      workload::generate_problems(1, plume_params, 3).front(),
+      workload::make_scene(workload::SceneFamily::kMovingObstacle, 3,
+                           {48, 8})};
+  for (const auto& base : bases) {
+    for (const auto scheme : {fluid::AdvectionScheme::kSemiLagrangian,
+                              fluid::AdvectionScheme::kMacCormack}) {
+      for (const double confinement : {0.0, 8.0}) {
+        workload::InputProblem problem = base;
+        problem.sim.advection = scheme;
+        problem.sim.vorticity_confinement = confinement;
+        fluid::SmokeSim sim = workload::make_sim(problem);
+        PcgSolver solver;
+        sim.step(&solver);
+        sim.step(&solver);
+
+        g_alloc_count.store(0);
+        g_count_allocs.store(true);
+        for (int step = 0; step < 3; ++step) {
+          sim.step(&solver);
+        }
+        g_count_allocs.store(false);
+        EXPECT_EQ(0u, g_alloc_count.load())
+            << "seed " << problem.seed << " scheme "
+            << static_cast<int>(scheme) << " confinement " << confinement;
+      }
+    }
+  }
+}
+
 TEST(ChunkHandoff, ChainedProducersHandOffEveryChunk) {
   // A chain of stages on plain std::threads, as the pipelined sweeps use
   // the handoff: stage t reads stage t-1's chunk c only after waiting for

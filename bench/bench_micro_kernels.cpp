@@ -110,7 +110,8 @@ void BM_ConvPacked(benchmark::State& state) {
   const nn::Tensor input = random_input(16, n, 11);
   nn::Workspace ws;
   nn::Tensor out;
-  conv.forward_packed_into(input, out, ws);  // Warm workspace + pack cache.
+  conv.prepack();  // Time the served path, which reads a built pack.
+  conv.forward_packed_into(input, out, ws);  // Warm the workspace.
   for (auto _ : state) {
     conv.forward_packed_into(input, out, ws);
     benchmark::DoNotOptimize(out.data().data());
@@ -121,44 +122,6 @@ void BM_ConvPacked(benchmark::State& state) {
       benchmark::Counter::kIs1000);
 }
 BENCHMARK(BM_ConvPacked)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_ConvPackedBf16(benchmark::State& state) {
-  const SingleThreadScope st;
-  const int n = static_cast<int>(state.range(0));
-  nn::Conv2D conv(16, 16, 3);
-  const nn::Tensor input = random_input(16, n, 11);
-  nn::Workspace ws;
-  nn::Tensor out;
-  conv.forward_packed_into(input, out, ws, nn::Precision::kBf16);
-  for (auto _ : state) {
-    conv.forward_packed_into(input, out, ws, nn::Precision::kBf16);
-    benchmark::DoNotOptimize(out.data().data());
-  }
-  const double flops = 2.0 * 16 * 16 * 9 * n * n;
-  state.counters["GFLOPS"] = benchmark::Counter(
-      flops, benchmark::Counter::kIsIterationInvariantRate,
-      benchmark::Counter::kIs1000);
-}
-BENCHMARK(BM_ConvPackedBf16)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_ConvPackedInt8(benchmark::State& state) {
-  const SingleThreadScope st;
-  const int n = static_cast<int>(state.range(0));
-  nn::Conv2D conv(16, 16, 3);
-  const nn::Tensor input = random_input(16, n, 11);
-  nn::Workspace ws;
-  nn::Tensor out;
-  conv.forward_packed_into(input, out, ws, nn::Precision::kInt8);
-  for (auto _ : state) {
-    conv.forward_packed_into(input, out, ws, nn::Precision::kInt8);
-    benchmark::DoNotOptimize(out.data().data());
-  }
-  const double flops = 2.0 * 16 * 16 * 9 * n * n;
-  state.counters["GFLOPS"] = benchmark::Counter(
-      flops, benchmark::Counter::kIsIterationInvariantRate,
-      benchmark::Counter::kIs1000);
-}
-BENCHMARK(BM_ConvPackedInt8)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_Im2col(benchmark::State& state) {
   const SingleThreadScope st;
@@ -341,6 +304,7 @@ std::vector<SweepRow> run_conv_sweep() {
 
   for (const int n : grids) {
     nn::Conv2D conv(16, 16, 3);
+    conv.prepack();
     const nn::Tensor input = random_input(16, n, 11);
     nn::Workspace ws;
     nn::Tensor out;
@@ -360,12 +324,6 @@ std::vector<SweepRow> run_conv_sweep() {
       const std::string name = nn::kernels::isa_name(isa);
       push("packed_f32", name, time_kernel([&] {
              conv.forward_packed_into(input, out, ws);
-           }));
-      push("packed_bf16", name, time_kernel([&] {
-             conv.forward_packed_into(input, out, ws, nn::Precision::kBf16);
-           }));
-      push("packed_int8", name, time_kernel([&] {
-             conv.forward_packed_into(input, out, ws, nn::Precision::kInt8);
            }));
     }
     nn::kernels::reset_isa_override();

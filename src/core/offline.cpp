@@ -1,7 +1,6 @@
 #include "core/offline.hpp"
 
 #include "core/neural_projection.hpp"
-#include "core/quant_admission.hpp"
 #include "stats/pareto.hpp"
 
 #include <algorithm>
@@ -56,6 +55,9 @@ TrainedModel train_model(const modelgen::ArchSpec& spec,
   model.origin = std::move(origin);
   model.net = modelgen::build_network(spec, rng);
   model.train_loss = train_surrogate(&model.net, samples, params, rng);
+  // The weights are final: build the packs every later copy and
+  // inference reads (DESIGN.md §8).
+  model.net.prepack_for_inference();
   return model;
 }
 
@@ -219,13 +221,6 @@ OfflineArtifacts run_offline_pipeline(const OfflineConfig& config,
     }
     artifacts.selected_ids.push_back(artifacts.pareto_ids[best]);
   }
-
-  // --- Quantized candidate admission (DESIGN.md §13) ------------------------
-  // Runs before the KNN-database build so admitted clones contribute
-  // database entries like every other runtime candidate. Off by default
-  // (SFN_QUANT_CANDIDATES=on opts in).
-  admit_quantized_candidates(&artifacts, eval_problems, references,
-                             QuantAdmissionParams::from_env());
 
   // --- KNN quality database (paper §6.1) ------------------------------------
   workload::ProblemSetParams db_params = train_params;

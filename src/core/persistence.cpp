@@ -33,15 +33,16 @@ void load_session_checkpoint(SessionStepper* stepper,
 }
 
 static constexpr std::int32_t kArtifactMagic = 0x53464152;  // "SFAR"
-// v2: ArchSpec gained an execution-precision field (quantized candidates,
-// DESIGN.md §13). No v1 artifacts are shipped, so load rejects them.
+// v2 added a precision slot to each spec, which now always holds
+// nn::io::kPrecisionTagF32. No v1 artifacts are shipped, so load rejects
+// them.
 static constexpr std::int32_t kArtifactVersion = 2;
 
 void save_spec(const modelgen::ArchSpec& spec, std::ostream& out) {
   using namespace nn::io;
   write_i32(out, spec.in_channels);
   write_i32(out, spec.out_channels);
-  write_i32(out, static_cast<std::int32_t>(spec.precision));
+  write_i32(out, kPrecisionTagF32);
   write_string(out, spec.name);
   write_i32(out, static_cast<std::int32_t>(spec.stages.size()));
   for (const auto& s : spec.stages) {
@@ -61,12 +62,11 @@ modelgen::ArchSpec load_spec(std::istream& in) {
   modelgen::ArchSpec spec;
   spec.in_channels = read_i32(in);
   spec.out_channels = read_i32(in);
-  const std::int32_t prec = read_i32(in);
-  if (prec < 0 || prec >= nn::kNumPrecisions) {
-    throw std::runtime_error("load_spec: invalid precision tag " +
-                             std::to_string(prec));
+  const std::int32_t tag = read_i32(in);
+  if (tag != kPrecisionTagF32) {
+    throw std::runtime_error("load_spec: precision = " + std::to_string(tag) +
+                             ", want 0 (fp32)");
   }
-  spec.precision = static_cast<nn::Precision>(prec);
   spec.name = read_string(in);
   const int stages = read_i32(in);
   spec.stages.resize(static_cast<std::size_t>(stages));

@@ -40,7 +40,6 @@ std::vector<runtime::RuntimeCandidate> make_runtime_candidates(
     c.model_id = id;
     c.mean_seconds = model.mean_seconds;
     c.mean_quality = model.mean_quality;
-    c.precision = model.spec.precision;
     // Probability from the offline scoring (scores are indexed against the
     // Pareto set; find this model's entry). A selected model without a
     // score means the artifact set is inconsistent with the offline phase

@@ -50,9 +50,6 @@ std::string ArchSpec::describe() const {
     if (s.dropout > 0.0) out << " d" << s.dropout;
   }
   out << " | out=" << out_channels;
-  if (precision != nn::Precision::kFloat32) {
-    out << " [" << nn::precision_name(precision) << "]";
-  }
   return out.str();
 }
 
@@ -124,16 +121,7 @@ nn::Network build_network(const ArchSpec& spec, util::Rng& rng) {
   // Final linear projection to the pressure field.
   net.emplace<nn::Conv2D>(channels, spec.out_channels, 3, false);
   net.init_weights(rng);
-  set_network_precision(&net, spec.precision);
   return net;
-}
-
-void set_network_precision(nn::Network* net, nn::Precision precision) {
-  for (std::size_t i = 0; i < net->depth(); ++i) {
-    if (auto* conv = dynamic_cast<nn::Conv2D*>(&net->layer(i))) {
-      conv->set_precision(precision);
-    }
-  }
 }
 
 ArchSpec tompson_spec(int width) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include "nn/network.hpp"
-#include "nn/precision.hpp"
 #include "util/rng.hpp"
 
 #include <string>
@@ -36,17 +35,10 @@ struct ArchSpec {
   int out_channels = 1;
   std::vector<StageSpec> stages;
   std::string name = "unnamed";
-  /// Execution precision applied to every conv in the built network. The
-  /// architecture (and so the Eq. 6 feature vector) is unchanged — a
-  /// quantized spec is the same model run through a cheaper kernel, which
-  /// is why quantized candidates inherit their float parent's predictor
-  /// score and are gated purely on measured quality (core/quant_admission).
-  nn::Precision precision = nn::Precision::kFloat32;
 
   bool operator==(const ArchSpec& other) const {
     return in_channels == other.in_channels &&
-           out_channels == other.out_channels && stages == other.stages &&
-           precision == other.precision;
+           out_channels == other.out_channels && stages == other.stages;
   }
 
   /// Paper's "number of layers" feature (stage count + final projection).
@@ -77,11 +69,6 @@ std::string validate(const ArchSpec& spec);
 /// Materialise the spec into a runnable network with freshly initialised
 /// weights drawn from `rng`.
 nn::Network build_network(const ArchSpec& spec, util::Rng& rng);
-
-/// Stamp `precision` onto every conv layer of an already-built network
-/// (build_network applies the spec's precision itself; this is for
-/// retargeting a trained float network, e.g. quantized-candidate cloning).
-void set_network_precision(nn::Network* net, nn::Precision precision);
 
 /// The reference model family of Tompson et al. (paper §2.2): five stages
 /// of convolution + ReLU. `width` scales the channel counts.

@@ -68,14 +68,4 @@ ArchSpec dropout(const ArchSpec& spec, std::size_t layer, double p) {
   return out;
 }
 
-ArchSpec quantize(const ArchSpec& spec, nn::Precision precision) {
-  if (precision == nn::Precision::kFloat32) {
-    throw std::invalid_argument("quantize: kFloat32 is not a transformation");
-  }
-  ArchSpec out = spec;
-  out.precision = precision;
-  out.name = spec.name + "+" + nn::precision_name(precision);
-  return out;
-}
-
 }  // namespace sfn::modelgen

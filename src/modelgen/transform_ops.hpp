@@ -29,13 +29,4 @@ ArchSpec pooling(const ArchSpec& spec, std::size_t layer, int m,
 /// number of neurons ... useful to increase the generalization capability").
 ArchSpec dropout(const ArchSpec& spec, std::size_t layer, double p);
 
-/// Operation 5 — quantize(G, P): run the same architecture through a
-/// reduced-precision conv kernel (nn/kernels). Unlike operations 1-4 this
-/// does not change the architecture or its Eq. 6 features — it trades
-/// accumulated rounding error for kernel throughput — so quantized specs
-/// are admitted post-training via the measured-quality gate in
-/// core/quant_admission rather than through predictor scoring. Throws on
-/// kFloat32 (not a transformation) .
-ArchSpec quantize(const ArchSpec& spec, nn::Precision precision);
-
 }  // namespace sfn::modelgen

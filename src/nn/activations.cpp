@@ -39,7 +39,6 @@ void ReLU::forward_into(const Tensor& input, Tensor& output,
 
 std::unique_ptr<Layer> ReLU::clone() const { return std::make_unique<ReLU>(); }
 void ReLU::save(std::ostream& /*out*/) const {}
-void ReLU::load(std::istream& /*in*/) {}
 
 Tensor Sigmoid::forward(const Tensor& input, bool /*train*/) {
   Tensor out = input;
@@ -74,7 +73,6 @@ std::unique_ptr<Layer> Sigmoid::clone() const {
   return std::make_unique<Sigmoid>();
 }
 void Sigmoid::save(std::ostream& /*out*/) const {}
-void Sigmoid::load(std::istream& /*in*/) {}
 
 Tensor Tanh::forward(const Tensor& input, bool /*train*/) {
   Tensor out = input;
@@ -107,6 +105,5 @@ void Tanh::forward_into(const Tensor& input, Tensor& output,
 
 std::unique_ptr<Layer> Tanh::clone() const { return std::make_unique<Tanh>(); }
 void Tanh::save(std::ostream& /*out*/) const {}
-void Tanh::load(std::istream& /*in*/) {}
 
 }  // namespace sfn::nn

@@ -21,7 +21,6 @@ class ReLU final : public Layer {
   [[nodiscard]] std::string describe() const override { return "ReLU"; }
   [[nodiscard]] std::string kind() const override { return "relu"; }
   void save(std::ostream& out) const override;
-  void load(std::istream& in) override;
 
  private:
   Tensor cached_input_;
@@ -44,7 +43,6 @@ class Sigmoid final : public Layer {
   [[nodiscard]] std::string describe() const override { return "Sigmoid"; }
   [[nodiscard]] std::string kind() const override { return "sigmoid"; }
   void save(std::ostream& out) const override;
-  void load(std::istream& in) override;
 
  private:
   Tensor cached_output_;
@@ -67,7 +65,6 @@ class Tanh final : public Layer {
   [[nodiscard]] std::string describe() const override { return "Tanh"; }
   [[nodiscard]] std::string kind() const override { return "tanh"; }
   void save(std::ostream& out) const override;
-  void load(std::istream& in) override;
 
  private:
   Tensor cached_output_;

@@ -5,10 +5,10 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace sfn::nn {
 
@@ -44,7 +44,7 @@ void Conv2D::init_weights(util::Rng& rng) {
   for (auto& b : bias_) {
     b = 0.0f;
   }
-  bump_revision();
+  pack_.reset();
 }
 
 Shape Conv2D::output_shape(const Shape& input) const {
@@ -64,10 +64,6 @@ std::uint64_t Conv2D::flops(const Shape& input) const {
 }
 
 ConvAlgo Conv2D::choose_algo(const Shape& input) const {
-  // A quantized layer always executes quantized: its precision is what its
-  // measured quality loss was taken with.
-  if (precision_ == Precision::kInt8) return ConvAlgo::kInt8;
-  if (precision_ == Precision::kBf16) return ConvAlgo::kBf16;
   // The packed kernel wins once the column matrix (taps x channels) is
   // tall enough to amortise the im2col and tiling over a non-trivial
   // image; below that the per-tap loop's lower setup cost wins (e.g. the
@@ -143,39 +139,24 @@ void Conv2D::forward_naive_into(const Tensor& input, Tensor& out,
   }
 }
 
-std::shared_ptr<const kernels::PackedConvWeights> Conv2D::packed(
-    Precision p) const {
-  const auto idx = static_cast<std::size_t>(p);
-  auto snapshot = packed_cache_[idx].load(std::memory_order_acquire);
-  if (snapshot &&
-      snapshot->revision == weights_revision_.load(std::memory_order_acquire)) {
-    return snapshot;
+void Conv2D::prepack() const {
+  if (pack_) {
+    return;
   }
-  const util::MutexLock lock(pack_mutex_);
-  // Re-read the revision *before* re-checking the cache: if a mutation
-  // lands after this load the pack we build is stale by construction, but
-  // its recorded revision is stale too, so the next dispatch rebuilds.
-  const std::uint64_t rev = weights_revision_.load(std::memory_order_acquire);
-  snapshot = packed_cache_[idx].load(std::memory_order_acquire);
-  if (snapshot && snapshot->revision == rev) {
-    return snapshot;
-  }
-  if (snapshot) {
-    obs::counter("nn.conv.repacks").add(1);
-  }
-  auto fresh = std::make_shared<const kernels::PackedConvWeights>(
-      kernels::pack_conv_weights(weights_.data(), bias_.data(), out_c_,
-                                 in_c_ * k_ * k_, p, rev));
-  packed_cache_[idx].store(fresh, std::memory_order_release);
-  return fresh;
+  kernels::PackedConvWeights packed;
+  kernels::pack_conv_weights(weights_.data(), bias_.data(), out_c_,
+                             in_c_ * k_ * k_, &packed);
+  pack_ = std::move(packed);
 }
 
 void Conv2D::forward_packed_into(const Tensor& input, Tensor& output,
-                                 Workspace& ws, Precision precision,
-                                 bool fuse_relu) const {
+                                 Workspace& ws, bool fuse_relu) const {
   const Shape in_shape = input.shape();
   output.resize(output_shape(in_shape));
-  const auto pw = packed(precision);
+  if (!pack_) {
+    kernels::pack_conv_weights(weights_.data(), bias_.data(), out_c_,
+                               in_c_ * k_ * k_, &ws.pack);
+  }
   kernels::ConvArgs args;
   args.in_c = in_c_;
   args.out_c = out_c_;
@@ -186,7 +167,7 @@ void Conv2D::forward_packed_into(const Tensor& input, Tensor& output,
   args.relu = fuse_relu;
   args.in = input.data().data();
   args.out = output.data().data();
-  kernels::packed_conv_forward(*pw, args, ws);
+  kernels::packed_conv_forward(pack_ ? *pack_ : ws.pack, args, ws);
 }
 
 void Conv2D::forward_into_fused(const Tensor& input, Tensor& output,
@@ -195,8 +176,6 @@ void Conv2D::forward_into_fused(const Tensor& input, Tensor& output,
   // tables attribute inference time to the kernel family actually run.
   static obs::Counter& naive_calls = obs::counter("nn.conv.naive_calls");
   static obs::Counter& packed_calls = obs::counter("nn.conv.packed_calls");
-  static obs::Counter& bf16_calls = obs::counter("nn.conv.bf16_calls");
-  static obs::Counter& int8_calls = obs::counter("nn.conv.int8_calls");
   static obs::Counter& fused_calls = obs::counter("nn.conv.fused_relu_calls");
 
   switch (choose_algo(input.shape())) {
@@ -206,15 +185,7 @@ void Conv2D::forward_into_fused(const Tensor& input, Tensor& output,
       break;
     case ConvAlgo::kPacked:
       packed_calls.add(1);
-      forward_packed_into(input, output, ws, Precision::kFloat32, fuse_relu);
-      break;
-    case ConvAlgo::kBf16:
-      bf16_calls.add(1);
-      forward_packed_into(input, output, ws, Precision::kBf16, fuse_relu);
-      break;
-    case ConvAlgo::kInt8:
-      int8_calls.add(1);
-      forward_packed_into(input, output, ws, Precision::kInt8, fuse_relu);
+      forward_packed_into(input, output, ws, fuse_relu);
       break;
   }
   if (fuse_relu) {
@@ -339,17 +310,21 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
 
 std::vector<ParamView> Conv2D::params() {
   // Handing out mutable spans is a weight-mutation route (the optimizer
-  // writes through them), so invalidate any cached packs.
-  bump_revision();
+  // writes through them), so the pack goes.
+  pack_.reset();
   return {ParamView{weights_, weight_grads_},
           ParamView{bias_, bias_grads_}};
+}
+
+std::size_t Conv2D::param_count() const {
+  return weights_.size() + bias_.size();
 }
 
 std::unique_ptr<Layer> Conv2D::clone() const {
   auto copy = std::make_unique<Conv2D>(in_c_, out_c_, k_, residual_);
   copy->weights_ = weights_;
   copy->bias_ = bias_;
-  copy->precision_ = precision_;
+  copy->pack_ = pack_;
   return copy;
 }
 
@@ -357,9 +332,6 @@ std::string Conv2D::describe() const {
   std::ostringstream out;
   out << (residual_ ? "ResConv2D(" : "Conv2D(") << in_c_ << "->" << out_c_
       << ", k" << k_ << ")";
-  if (precision_ != Precision::kFloat32) {
-    out << "[" << precision_name(precision_) << "]";
-  }
   return out.str();
 }
 
@@ -368,27 +340,9 @@ void Conv2D::save(std::ostream& out) const {
   io::write_i32(out, out_c_);
   io::write_i32(out, k_);
   io::write_i32(out, residual_ ? 1 : 0);
-  io::write_i32(out, static_cast<std::int32_t>(precision_));
+  io::write_i32(out, io::kPrecisionTagF32);
   io::write_floats(out, weights_);
   io::write_floats(out, bias_);
-}
-
-void Conv2D::load(std::istream& in) {
-  const int ic = io::read_i32(in);
-  const int oc = io::read_i32(in);
-  const int k = io::read_i32(in);
-  const int res = io::read_i32(in);
-  const int prec = io::read_i32(in);
-  if (ic != in_c_ || oc != out_c_ || k != k_ || (res != 0) != residual_) {
-    throw std::runtime_error("Conv2D::load: configuration mismatch");
-  }
-  if (prec < 0 || prec >= kNumPrecisions) {
-    throw std::runtime_error("Conv2D::load: bad precision field");
-  }
-  precision_ = static_cast<Precision>(prec);
-  bump_revision();
-  io::read_floats(in, weights_);
-  io::read_floats(in, bias_);
 }
 
 }  // namespace sfn::nn

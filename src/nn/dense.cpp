@@ -99,6 +99,10 @@ std::vector<ParamView> Dense::params() {
   return {ParamView{weights_, weight_grads_}, ParamView{bias_, bias_grads_}};
 }
 
+std::size_t Dense::param_count() const {
+  return weights_.size() + bias_.size();
+}
+
 std::unique_ptr<Layer> Dense::clone() const {
   auto copy = std::make_unique<Dense>(in_f_, out_f_);
   copy->weights_ = weights_;
@@ -119,16 +123,8 @@ void Dense::save(std::ostream& out) const {
   io::write_floats(out, bias_);
 }
 
-void Dense::load(std::istream& in) {
-  if (io::read_i32(in) != in_f_ || io::read_i32(in) != out_f_) {
-    throw std::runtime_error("Dense::load: configuration mismatch");
-  }
-  io::read_floats(in, weights_);
-  io::read_floats(in, bias_);
-}
-
 Dropout::Dropout(double rate, std::uint64_t seed) : rate_(rate), rng_(seed) {
-  if (rate < 0.0 || rate >= 1.0) {
+  if (!(rate >= 0.0 && rate < 1.0)) {
     throw std::invalid_argument("Dropout: rate must be in [0, 1)");
   }
 }
@@ -176,8 +172,5 @@ std::string Dropout::describe() const {
 }
 
 void Dropout::save(std::ostream& out) const { io::write_f64(out, rate_); }
-void Dropout::load(std::istream& in) {
-  rate_ = io::read_f64(in);
-}
 
 }  // namespace sfn::nn

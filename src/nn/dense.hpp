@@ -19,13 +19,13 @@ class Dense final : public Layer {
   void forward_into(const Tensor& input, Tensor& output,
                     Workspace& ws) const override;
   std::vector<ParamView> params() override;
+  [[nodiscard]] std::size_t param_count() const override;
   [[nodiscard]] Shape output_shape(const Shape& input) const override;
   [[nodiscard]] std::uint64_t flops(const Shape& input) const override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;
   [[nodiscard]] std::string describe() const override;
   [[nodiscard]] std::string kind() const override { return "dense"; }
   void save(std::ostream& out) const override;
-  void load(std::istream& in) override;
   void init_weights(util::Rng& rng) override;
 
   [[nodiscard]] int in_features() const { return in_f_; }
@@ -67,7 +67,6 @@ class Dropout final : public Layer {
   [[nodiscard]] std::string describe() const override;
   [[nodiscard]] std::string kind() const override { return "dropout"; }
   void save(std::ostream& out) const override;
-  void load(std::istream& in) override;
 
   [[nodiscard]] double rate() const { return rate_; }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace sfn::nn {
 
@@ -22,12 +21,5 @@ void im2col(const float* in, int c, int h, int w, int k, float* col);
 /// (c*k*k) x (h*w) matrix at once.
 void im2col_range(const float* in, int c, int h, int w, int k,
                   std::size_t n0, std::size_t n1, float* col);
-
-/// int8 variant for the quantized conv path: identical layout and padding
-/// semantics on a pre-quantized feature map. Symmetric quantization has
-/// zero-point 0, so the zero padding written here *is* the quantized
-/// padding value.
-void im2col_range_i8(const std::int8_t* in, int c, int h, int w, int k,
-                     std::size_t n0, std::size_t n1, std::int8_t* col);
 
 }  // namespace sfn::nn

@@ -17,7 +17,6 @@
 // which is what lets golden trajectories survive the CI scalar leg.
 
 #include <cstddef>
-#include <cstdint>
 
 #include "nn/kernels/isa.hpp"
 
@@ -45,47 +44,22 @@ using TileKernelF32 = void (*)(int K, const float* a, const float* bias,
                                float* c, std::size_t ldc, int rows,
                                bool relu);
 
-/// Same contract with the panel stored as bfloat16 (upper 16 bits of the
-/// fp32 pattern). Weights are expanded to fp32 in registers, so the
-/// arithmetic — and the cross-ISA bit-exactness — matches the f32 kernel
-/// run on bf16-rounded weights.
-using TileKernelBf16 = void (*)(int K, const std::uint16_t* a,
-                                const float* bias, const float* b,
-                                std::size_t ldb, const float* res,
-                                std::size_t ldres, float* c, std::size_t ldc,
-                                int rows, bool relu);
-
 /// Kernel table for one ISA. Only full-width tiles are ISA-specialised;
 /// column tails (< kNr pixels) always go through the portable reference
 /// (identical arithmetic, negligible share of the work).
 struct KernelSet {
   Isa isa;
   TileKernelF32 f32;
-  TileKernelBf16 bf16;
 };
 
 /// Table for the currently active ISA (honours set_isa_override).
 [[nodiscard]] const KernelSet& active_kernels();
 
-/// Portable reference tiles; also the tail path for every ISA. `cols` may
+/// Portable reference tile; also the tail path for every ISA. `cols` may
 /// be any value in [1, kNr].
 void tile_f32_ref(int K, const float* a, const float* bias, const float* b,
                   std::size_t ldb, const float* res, std::size_t ldres,
                   float* c, std::size_t ldc, int rows, int cols, bool relu);
-void tile_bf16_ref(int K, const std::uint16_t* a, const float* bias,
-                   const float* b, std::size_t ldb, const float* res,
-                   std::size_t ldres, float* c, std::size_t ldc, int rows,
-                   int cols, bool relu);
-
-/// int8 tile: integer accumulation is exact, so there is nothing to gain
-/// from per-ISA variants beyond what the autovectorizer finds — one
-/// portable kernel keeps the quantized path bit-identical everywhere.
-/// `scale[r]` is s_w[row]·s_x; bias/residual/ReLU are applied in fp32:
-///   c = relu?( float(Σ a·b) * scale[r] + bias[r] (+ res) )
-void tile_i8(int K, const std::int8_t* a, const float* bias,
-             const float* scale, const std::int8_t* b, std::size_t ldb,
-             const float* res, std::size_t ldres, float* c, std::size_t ldc,
-             int rows, int cols, bool relu);
 
 /// Hooks registered by the ISA-specific translation units (null when the
 /// build excluded them).

@@ -15,15 +15,6 @@
 namespace sfn::nn::kernels {
 namespace {
 
-inline float bf16_to_f32(std::uint16_t h) {
-  union {
-    std::uint32_t u;
-    float f;
-  } cvt;
-  cvt.u = static_cast<std::uint32_t>(h) << 16;
-  return cvt.f;
-}
-
 /// 6x16 f32 tile: 12 ymm accumulators live across the whole K loop, two B
 /// loads and one A broadcast per row per step — 16 architectural ymm
 /// registers exactly cover it (the NNPACK-style blocking). Epilogue
@@ -92,69 +83,7 @@ void tile_f32_avx2(int K, const float* a, const float* bias, const float* b,
   }
 }
 
-/// Same tile with the A panel held as bfloat16. Each weight is widened to
-/// fp32 before the broadcast, so the FMA sequence — and therefore the
-/// result — is identical to running the f32 kernel on bf16-rounded
-/// weights. Wins come from the halved packed-panel footprint.
-void tile_bf16_avx2(int K, const std::uint16_t* a, const float* bias,
-                    const float* b, std::size_t ldb, const float* res,
-                    std::size_t ldres, float* c, std::size_t ldc, int rows,
-                    bool relu) {
-  // Same named-register unrolling as tile_f32_avx2 (see the note there).
-  __m256 lo0 = _mm256_broadcast_ss(bias + 0), hi0 = lo0;
-  __m256 lo1 = _mm256_broadcast_ss(bias + 1), hi1 = lo1;
-  __m256 lo2 = _mm256_broadcast_ss(bias + 2), hi2 = lo2;
-  __m256 lo3 = _mm256_broadcast_ss(bias + 3), hi3 = lo3;
-  __m256 lo4 = _mm256_broadcast_ss(bias + 4), hi4 = lo4;
-  __m256 lo5 = _mm256_broadcast_ss(bias + 5), hi5 = lo5;
-  static_assert(kMr == 6, "unrolled for the 6x16 tile");
-  for (int p = 0; p < K; ++p) {
-    const float* brow = b + static_cast<std::size_t>(p) * ldb;
-    const __m256 b0 = _mm256_loadu_ps(brow);
-    const __m256 b1 = _mm256_loadu_ps(brow + 8);
-    const std::uint16_t* acol = a + static_cast<std::size_t>(p) * kMr;
-    __m256 av;
-    av = _mm256_set1_ps(bf16_to_f32(acol[0]));
-    lo0 = _mm256_fmadd_ps(av, b0, lo0);
-    hi0 = _mm256_fmadd_ps(av, b1, hi0);
-    av = _mm256_set1_ps(bf16_to_f32(acol[1]));
-    lo1 = _mm256_fmadd_ps(av, b0, lo1);
-    hi1 = _mm256_fmadd_ps(av, b1, hi1);
-    av = _mm256_set1_ps(bf16_to_f32(acol[2]));
-    lo2 = _mm256_fmadd_ps(av, b0, lo2);
-    hi2 = _mm256_fmadd_ps(av, b1, hi2);
-    av = _mm256_set1_ps(bf16_to_f32(acol[3]));
-    lo3 = _mm256_fmadd_ps(av, b0, lo3);
-    hi3 = _mm256_fmadd_ps(av, b1, hi3);
-    av = _mm256_set1_ps(bf16_to_f32(acol[4]));
-    lo4 = _mm256_fmadd_ps(av, b0, lo4);
-    hi4 = _mm256_fmadd_ps(av, b1, hi4);
-    av = _mm256_set1_ps(bf16_to_f32(acol[5]));
-    lo5 = _mm256_fmadd_ps(av, b0, lo5);
-    hi5 = _mm256_fmadd_ps(av, b1, hi5);
-  }
-  const __m256 lo[kMr] = {lo0, lo1, lo2, lo3, lo4, lo5};
-  const __m256 hi[kMr] = {hi0, hi1, hi2, hi3, hi4, hi5};
-  const __m256 zero = _mm256_setzero_ps();
-  for (int r = 0; r < rows; ++r) {
-    __m256 v0 = lo[r];
-    __m256 v1 = hi[r];
-    if (res != nullptr) {
-      const float* rrow = res + static_cast<std::size_t>(r) * ldres;
-      v0 = _mm256_add_ps(v0, _mm256_loadu_ps(rrow));
-      v1 = _mm256_add_ps(v1, _mm256_loadu_ps(rrow + 8));
-    }
-    if (relu) {
-      v0 = _mm256_max_ps(v0, zero);
-      v1 = _mm256_max_ps(v1, zero);
-    }
-    float* crow = c + static_cast<std::size_t>(r) * ldc;
-    _mm256_storeu_ps(crow, v0);
-    _mm256_storeu_ps(crow + 8, v1);
-  }
-}
-
-constexpr KernelSet kAvx2Set{Isa::kAvx2, tile_f32_avx2, tile_bf16_avx2};
+constexpr KernelSet kAvx2Set{Isa::kAvx2, tile_f32_avx2};
 
 }  // namespace
 

@@ -9,15 +9,6 @@ namespace {
 /// +0.0, same as _mm256_max_ps(x, zero) with x in the first operand.
 inline float relu1(float x) { return x > 0.0f ? x : 0.0f; }
 
-inline float bf16_to_f32(std::uint16_t h) {
-  union {
-    std::uint32_t u;
-    float f;
-  } cvt;
-  cvt.u = static_cast<std::uint32_t>(h) << 16;
-  return cvt.f;
-}
-
 }  // namespace
 
 void tile_f32_ref(int K, const float* a, const float* bias, const float* b,
@@ -42,72 +33,6 @@ void tile_f32_ref(int K, const float* a, const float* bias, const float* b,
   }
 }
 
-void tile_bf16_ref(int K, const std::uint16_t* a, const float* bias,
-                   const float* b, std::size_t ldb, const float* res,
-                   std::size_t ldres, float* c, std::size_t ldc, int rows,
-                   int cols, bool relu) {
-  for (int r = 0; r < rows; ++r) {
-    for (int j = 0; j < cols; ++j) {
-      float acc = bias[r];
-      for (int p = 0; p < K; ++p) {
-        acc = std::fmaf(bf16_to_f32(a[static_cast<std::size_t>(p) * kMr + r]),
-                        b[static_cast<std::size_t>(p) * ldb + j], acc);
-      }
-      if (res != nullptr) {
-        acc += res[static_cast<std::size_t>(r) * ldres + j];
-      }
-      c[static_cast<std::size_t>(r) * ldc + j] = relu ? relu1(acc) : acc;
-    }
-  }
-}
-
-void tile_i8(int K, const std::int8_t* a, const float* bias,
-             const float* scale, const std::int8_t* b, std::size_t ldb,
-             const float* res, std::size_t ldres, float* c, std::size_t ldc,
-             int rows, int cols, bool relu) {
-  // int32 accumulation is exact: K·127·127 stays far below 2^31 for every
-  // architecture this repo generates (K ≤ in_c·k² ≤ a few thousand), so
-  // the quantized path is bit-identical on every ISA — and, unlike the
-  // float tiles, reassociating the sum is free. That lets the loop nest
-  // put the contiguous pixel index j innermost: each row's kNr int32
-  // accumulators stay live across the whole K loop and the autovectorizer
-  // turns the j loop into widening int8→int32 multiply-adds. (The naive
-  // p-innermost reduction has stride kMr/ldb and never vectorizes.)
-  for (int r = 0; r < rows; ++r) {
-    std::int32_t acc[kNr] = {};
-    if (cols == kNr) {
-      // Constant trip count for the full-width tile: the vectorizer emits
-      // straight-line code with no scalar prologue/epilogue per K step.
-      for (int p = 0; p < K; ++p) {
-        const auto av = static_cast<std::int32_t>(
-            a[static_cast<std::size_t>(p) * kMr + r]);
-        const std::int8_t* brow = b + static_cast<std::size_t>(p) * ldb;
-#pragma omp simd
-        for (int j = 0; j < kNr; ++j) {
-          acc[j] += av * static_cast<std::int32_t>(brow[j]);
-        }
-      }
-    } else {
-      for (int p = 0; p < K; ++p) {
-        const auto av = static_cast<std::int32_t>(
-            a[static_cast<std::size_t>(p) * kMr + r]);
-        const std::int8_t* brow = b + static_cast<std::size_t>(p) * ldb;
-#pragma omp simd
-        for (int j = 0; j < cols; ++j) {
-          acc[j] += av * static_cast<std::int32_t>(brow[j]);
-        }
-      }
-    }
-    for (int j = 0; j < cols; ++j) {
-      float v = static_cast<float>(acc[j]) * scale[r] + bias[r];
-      if (res != nullptr) {
-        v += res[static_cast<std::size_t>(r) * ldres + j];
-      }
-      c[static_cast<std::size_t>(r) * ldc + j] = relu ? relu1(v) : v;
-    }
-  }
-}
-
 namespace {
 
 void tile_f32_scalar(int K, const float* a, const float* bias, const float* b,
@@ -116,15 +41,7 @@ void tile_f32_scalar(int K, const float* a, const float* bias, const float* b,
   tile_f32_ref(K, a, bias, b, ldb, res, ldres, c, ldc, rows, kNr, relu);
 }
 
-void tile_bf16_scalar(int K, const std::uint16_t* a, const float* bias,
-                      const float* b, std::size_t ldb, const float* res,
-                      std::size_t ldres, float* c, std::size_t ldc, int rows,
-                      bool relu) {
-  tile_bf16_ref(K, a, bias, b, ldb, res, ldres, c, ldc, rows, kNr, relu);
-}
-
-constexpr KernelSet kScalarSet{Isa::kScalar, tile_f32_scalar,
-                               tile_bf16_scalar};
+constexpr KernelSet kScalarSet{Isa::kScalar, tile_f32_scalar};
 
 }  // namespace
 

@@ -13,15 +13,6 @@
 namespace sfn::nn::kernels {
 namespace {
 
-inline float bf16_to_f32(std::uint16_t h) {
-  union {
-    std::uint32_t u;
-    float f;
-  } cvt;
-  cvt.u = static_cast<std::uint32_t>(h) << 16;
-  return cvt.f;
-}
-
 /// ReLU matching `x > 0 ? x : 0` (NaN and -0.0 map to +0.0). vmaxq would
 /// propagate NaN, so select explicitly.
 inline float32x4_t relu4(float32x4_t v) {
@@ -69,41 +60,7 @@ void tile_f32_neon(int K, const float* a, const float* bias, const float* b,
   }
 }
 
-void tile_bf16_neon(int K, const std::uint16_t* a, const float* bias,
-                    const float* b, std::size_t ldb, const float* res,
-                    std::size_t ldres, float* c, std::size_t ldc, int rows,
-                    bool relu) {
-  float32x4_t acc[kMr][4];
-  for (int r = 0; r < kMr; ++r) {
-    for (int q = 0; q < 4; ++q) acc[r][q] = vdupq_n_f32(bias[r]);
-  }
-  for (int p = 0; p < K; ++p) {
-    const float* brow = b + static_cast<std::size_t>(p) * ldb;
-    float32x4_t bq[4];
-#pragma GCC unroll 4
-    for (int q = 0; q < 4; ++q) bq[q] = vld1q_f32(brow + 4 * q);
-    const std::uint16_t* acol = a + static_cast<std::size_t>(p) * kMr;
-#pragma GCC unroll 6
-    for (int r = 0; r < kMr; ++r) {
-      const float av = bf16_to_f32(acol[r]);
-#pragma GCC unroll 4
-      for (int q = 0; q < 4; ++q) acc[r][q] = vfmaq_n_f32(acc[r][q], bq[q], av);
-    }
-  }
-  for (int r = 0; r < rows; ++r) {
-    float* crow = c + static_cast<std::size_t>(r) * ldc;
-    const float* rrow =
-        res != nullptr ? res + static_cast<std::size_t>(r) * ldres : nullptr;
-    for (int q = 0; q < 4; ++q) {
-      float32x4_t v = acc[r][q];
-      if (rrow != nullptr) v = vaddq_f32(v, vld1q_f32(rrow + 4 * q));
-      if (relu) v = relu4(v);
-      vst1q_f32(crow + 4 * q, v);
-    }
-  }
-}
-
-constexpr KernelSet kNeonSet{Isa::kNeon, tile_f32_neon, tile_bf16_neon};
+constexpr KernelSet kNeonSet{Isa::kNeon, tile_f32_neon};
 
 }  // namespace
 

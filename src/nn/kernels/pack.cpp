@@ -1,7 +1,6 @@
 #include "nn/kernels/pack.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <cstddef>
 #include <cstring>
 
 #include "nn/kernels/microkernel.hpp"
@@ -9,94 +8,28 @@
 
 namespace sfn::nn::kernels {
 
-std::uint16_t f32_to_bf16(float f) {
-  union {
-    float f;
-    std::uint32_t u;
-  } cvt;
-  cvt.f = f;
-  // Round to nearest even on the truncated 16 bits; NaN payloads are not
-  // a concern for finite trained weights.
-  const std::uint32_t lsb = (cvt.u >> 16) & 1u;
-  cvt.u += 0x7fffu + lsb;
-  return static_cast<std::uint16_t>(cvt.u >> 16);
-}
+void pack_conv_weights(const float* weights, const float* bias, int out_c,
+                       int K, PackedConvWeights* out) {
+  static obs::Counter& pack_calls = obs::counter("nn.pack_calls");
+  out->out_c = out_c;
+  out->K = K;
+  out->panels = (out_c + kMr - 1) / kMr;
 
-float bf16_to_f32(std::uint16_t h) {
-  union {
-    std::uint32_t u;
-    float f;
-  } cvt;
-  cvt.u = static_cast<std::uint32_t>(h) << 16;
-  return cvt.f;
-}
-
-PackedConvWeights pack_conv_weights(const float* weights, const float* bias,
-                                    int out_c, int K, Precision precision,
-                                    std::uint64_t revision) {
-  PackedConvWeights out;
-  out.precision = precision;
-  out.out_c = out_c;
-  out.K = K;
-  out.panels = (out_c + kMr - 1) / kMr;
-  out.revision = revision;
-
-  const std::size_t padded_rows = static_cast<std::size_t>(out.panels) * kMr;
-  out.bias.assign(padded_rows, 0.0f);
-  std::memcpy(out.bias.data(), bias, sizeof(float) * out_c);
+  const std::size_t padded_rows = static_cast<std::size_t>(out->panels) * kMr;
+  out->bias.assign(padded_rows, 0.0f);
+  std::memcpy(out->bias.data(), bias, sizeof(float) * out_c);
 
   const std::size_t panel_elems = static_cast<std::size_t>(K) * kMr;
-  const auto src = [&](int row, int p) {
-    return weights[static_cast<std::size_t>(row) * K + p];
-  };
-
-  switch (precision) {
-    case Precision::kFloat32: {
-      out.a_f32.assign(out.panels * panel_elems, 0.0f);
-      for (int row = 0; row < out_c; ++row) {
-        float* panel = out.a_f32.data() + (row / kMr) * panel_elems;
-        const int r = row % kMr;
-        for (int p = 0; p < K; ++p) {
-          panel[static_cast<std::size_t>(p) * kMr + r] = src(row, p);
-        }
-      }
-      break;
-    }
-    case Precision::kBf16: {
-      out.a_bf16.assign(out.panels * panel_elems, 0);
-      for (int row = 0; row < out_c; ++row) {
-        std::uint16_t* panel = out.a_bf16.data() + (row / kMr) * panel_elems;
-        const int r = row % kMr;
-        for (int p = 0; p < K; ++p) {
-          panel[static_cast<std::size_t>(p) * kMr + r] = f32_to_bf16(src(row, p));
-        }
-      }
-      break;
-    }
-    case Precision::kInt8: {
-      out.a_i8.assign(out.panels * panel_elems, 0);
-      out.wscale.assign(padded_rows, 1.0f);
-      for (int row = 0; row < out_c; ++row) {
-        float maxabs = 0.0f;
-        for (int p = 0; p < K; ++p) {
-          maxabs = std::max(maxabs, std::fabs(src(row, p)));
-        }
-        const float scale = maxabs > 0.0f ? maxabs / 127.0f : 1.0f;
-        out.wscale[row] = scale;
-        std::int8_t* panel = out.a_i8.data() + (row / kMr) * panel_elems;
-        const int r = row % kMr;
-        const float inv = 1.0f / scale;
-        for (int p = 0; p < K; ++p) {
-          const float q = std::nearbyintf(src(row, p) * inv);
-          panel[static_cast<std::size_t>(p) * kMr + r] = static_cast<std::int8_t>(
-              std::clamp(q, -127.0f, 127.0f));
-        }
-      }
-      break;
+  out->a.assign(out->panels * panel_elems, 0.0f);
+  for (int row = 0; row < out_c; ++row) {
+    float* panel = out->a.data() + (row / kMr) * panel_elems;
+    const int r = row % kMr;
+    for (int p = 0; p < K; ++p) {
+      panel[static_cast<std::size_t>(p) * kMr + r] =
+          weights[static_cast<std::size_t>(row) * K + p];
     }
   }
-  obs::counter("nn.pack_calls").add(1);
-  return out;
+  pack_calls.add(1);
 }
 
 }  // namespace sfn::nn::kernels

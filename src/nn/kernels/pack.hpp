@@ -1,16 +1,14 @@
 #pragma once
 
-#include <cstdint>
 #include <vector>
-
-#include "nn/precision.hpp"
 
 namespace sfn::nn::kernels {
 
-/// A Conv2D weight matrix re-laid-out for the microkernels, produced once
-/// per (layer, precision) and cached on the layer (Conv2D::packed). The
-/// M×K row-major weight matrix (M = out_c, K = in_c·k·k) becomes
-/// ceil(M/kMr) panels of K columns × kMr rows:
+/// A Conv2D weight matrix re-laid-out for the microkernels. A layer builds
+/// its own once its weights are final (Conv2D::prepack); a layer without
+/// one packs into its caller's Workspace on every packed call. The M×K
+/// row-major weight matrix (M = out_c, K = in_c·k·k) becomes ceil(M/kMr)
+/// panels of K columns × kMr rows:
 ///
 ///   panel_base[p*kMr + r] == W[panel_row0 + r][p]
 ///
@@ -18,43 +16,18 @@ namespace sfn::nn::kernels {
 /// element per output row per K step. Rows past M are zero-padded (their
 /// accumulators are computed and discarded; bias is padded too), which
 /// keeps the kernel branch-free in the K loop.
-///
-/// Exactly one of the three weight arrays is populated, per `precision`:
-///  - f32: weights verbatim.
-///  - bf16: round-to-nearest-even truncation to the high 16 bits.
-///  - int8: symmetric per-output-channel quantization; wscale[r] is the
-///    dequantization step maxabs(W[r])/127 (1.0 for all-zero rows) and
-///    q = clamp(round(w/wscale), ±127).
-///
-/// `revision` records the Conv2D weight revision the pack was built from;
-/// Conv2D::packed() rebuilds whenever the live revision differs, so
-/// weight mutation (training, transforms, load) can never be served from
-/// a stale pack.
 struct PackedConvWeights {
-  Precision precision = Precision::kFloat32;
   int out_c = 0;
   int K = 0;       ///< in_c · k · k
   int panels = 0;  ///< ceil(out_c / kMr)
-  std::vector<float> a_f32;
-  std::vector<std::uint16_t> a_bf16;
-  std::vector<std::int8_t> a_i8;
-  std::vector<float> bias;    ///< padded to panels·kMr
-  std::vector<float> wscale;  ///< int8 only, padded to panels·kMr
-  std::uint64_t revision = 0;
-
-  /// Panel p's base offset into the populated weight array.
-  [[nodiscard]] std::size_t panel_offset(int p, int mr) const {
-    return static_cast<std::size_t>(p) * K * mr;
-  }
+  std::vector<float> a;     ///< panels · K · kMr, weights verbatim
+  std::vector<float> bias;  ///< padded to panels·kMr
 };
 
-[[nodiscard]] std::uint16_t f32_to_bf16(float f);
-[[nodiscard]] float bf16_to_f32(std::uint16_t h);
-
-/// Pack `weights` (out_c × K row-major) + `bias` for `precision`.
-[[nodiscard]] PackedConvWeights pack_conv_weights(const float* weights,
-                                                  const float* bias, int out_c,
-                                                  int K, Precision precision,
-                                                  std::uint64_t revision);
+/// Pack `weights` (out_c × K row-major) + `bias` into `out`. The vectors
+/// keep their capacity, so repacking a same-or-smaller layer into a
+/// reused `out` allocates nothing.
+void pack_conv_weights(const float* weights, const float* bias, int out_c,
+                       int K, PackedConvWeights* out);
 
 }  // namespace sfn::nn::kernels

@@ -6,9 +6,9 @@
 namespace sfn::nn::kernels {
 
 /// One packed-conv invocation: geometry plus the raw CHW buffers. The
-/// driver owns chunking (im2col tiles sized to stay cache-resident),
+/// driver owns chunking (im2col tiles sized to stay cache-resident) and
 /// tiling (kMr × kNr microkernel calls, portable reference on column
-/// tails) and — for int8 — the dynamic input quantization pass.
+/// tails).
 struct ConvArgs {
   int in_c = 0;
   int out_c = 0;

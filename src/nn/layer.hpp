@@ -46,8 +46,12 @@ class Layer {
     output = clone()->forward(input, /*train=*/false);
   }
 
-  /// Parameter blobs (empty for stateless layers).
+  /// Parameter blobs (empty for stateless layers). Mutable spans, so
+  /// handing them out counts as weight mutation.
   virtual std::vector<ParamView> params() { return {}; }
+
+  /// Number of parameter values; a read-only count, unlike params().
+  [[nodiscard]] virtual std::size_t param_count() const { return 0; }
 
   /// Output shape for a given input shape (throws on mismatch).
   [[nodiscard]] virtual Shape output_shape(const Shape& input) const = 0;
@@ -64,9 +68,10 @@ class Layer {
   /// Stable type tag used by the serializer.
   [[nodiscard]] virtual std::string kind() const = 0;
 
-  /// Write/read configuration and weights (not the kind tag).
+  /// Write configuration and weights (not the kind tag). Network::load
+  /// is the one reader: it validates the configuration before it builds
+  /// the layer.
   virtual void save(std::ostream& out) const = 0;
-  virtual void load(std::istream& in) = 0;
 
   /// (Re)initialise weights; default no-op for stateless layers.
   virtual void init_weights(util::Rng& /*rng*/) {}

@@ -17,54 +17,96 @@
 #include <future>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace sfn::nn {
 
 namespace {
 
 constexpr std::int32_t kMagic = 0x53464e4e;  // "SFNN"
-// Version 2 added the per-conv inference Precision field. No version-1
-// artifacts are checked in (tests and sessions serialize their own), so
-// load() accepts only the current format.
+// Version 2 added a per-conv precision slot, which now always holds
+// io::kPrecisionTagF32. No version-1 artifacts are checked in (tests and
+// sessions serialize their own), so load() accepts only the current format.
 constexpr std::int32_t kVersion = 2;
 
+/// Largest weight count one layer may declare. Generated models stay
+/// below 10^5 per layer (the search caps convs at 32 channels and 5x5
+/// kernels; the MLPs are 64 wide); the cap only stops a corrupt header
+/// from sizing a huge allocation.
+constexpr std::int64_t kMaxLayerWeights = std::int64_t{1} << 24;
+
 /// Construct a layer of the given kind by reading its config (and weights,
-/// through params()) from the stream — the mirror of Layer::save.
-std::unique_ptr<Layer> make_layer(const std::string& kind, std::istream& in) {
+/// through params()) from the stream — the mirror of Layer::save. Every
+/// field is checked before anything is constructed or allocated.
+std::unique_ptr<Layer> make_layer(int index, const std::string& kind,
+                                  std::istream& in) {
+  const auto require = [&](bool ok, const char* field, auto value,
+                           const char* rule) {
+    if (!ok) {
+      std::ostringstream msg;
+      msg << "Network::load: layer " << index << " (" << kind << "): "
+          << field << " = " << value << ", want " << rule;
+      throw std::runtime_error(msg.str());
+    }
+  };
+  const auto read_weights = [&in](Layer& layer) {
+    for (auto& view : layer.params()) {
+      io::read_floats(in, view.values);
+    }
+  };
   if (kind == "conv2d") {
     const int ic = io::read_i32(in);
     const int oc = io::read_i32(in);
     const int k = io::read_i32(in);
     const int res = io::read_i32(in);
-    const int prec = io::read_i32(in);
-    if (prec < 0 || prec >= kNumPrecisions) {
-      throw std::runtime_error("Network::load: bad conv2d precision field");
-    }
+    const int tag = io::read_i32(in);
+    require(ic >= 1, "in_channels", ic, ">= 1");
+    require(oc >= 1, "out_channels", oc, ">= 1");
+    require(k >= 1 && k % 2 == 1, "kernel", k, "odd and >= 1");
+    require(res == 0 || res == 1, "residual", res, "0 or 1");
+    require(res == 0 || ic == oc, "residual", res,
+            "0 unless in_channels == out_channels");
+    require(tag == io::kPrecisionTagF32, "precision", tag, "0 (fp32)");
+    // ic·oc and k² each fit in 64 bits; compare without forming ic·oc·k².
+    require(std::int64_t{ic} * oc <= kMaxLayerWeights / (std::int64_t{k} * k),
+            "weight count",
+            std::to_string(ic) + "*" + std::to_string(oc) + "*" +
+                std::to_string(k) + "^2",
+            "<= 2^24");
     auto layer = std::make_unique<Conv2D>(ic, oc, k, res != 0);
-    layer->set_precision(static_cast<Precision>(prec));
-    for (auto& view : layer->params()) {
-      io::read_floats(in, view.values);
-    }
+    read_weights(*layer);
     return layer;
   }
   if (kind == "dense") {
     const int inf = io::read_i32(in);
     const int outf = io::read_i32(in);
+    require(inf >= 1, "in_features", inf, ">= 1");
+    require(outf >= 1, "out_features", outf, ">= 1");
+    require(std::int64_t{inf} * outf <= kMaxLayerWeights, "weight count",
+            std::to_string(inf) + "*" + std::to_string(outf), "<= 2^24");
     auto layer = std::make_unique<Dense>(inf, outf);
-    for (auto& view : layer->params()) {
-      io::read_floats(in, view.values);
-    }
+    read_weights(*layer);
     return layer;
   }
   if (kind == "relu") return std::make_unique<ReLU>();
   if (kind == "sigmoid") return std::make_unique<Sigmoid>();
   if (kind == "tanh") return std::make_unique<Tanh>();
-  if (kind == "maxpool") return std::make_unique<MaxPool2D>(io::read_i32(in));
-  if (kind == "avgpool") return std::make_unique<AvgPool2D>(io::read_i32(in));
-  if (kind == "upsample") {
-    return std::make_unique<Upsample2D>(io::read_i32(in));
+  if (kind == "maxpool" || kind == "avgpool") {
+    const int size = io::read_i32(in);
+    require(size >= 2, "size", size, ">= 2");
+    if (kind == "maxpool") return std::make_unique<MaxPool2D>(size);
+    return std::make_unique<AvgPool2D>(size);
   }
-  if (kind == "dropout") return std::make_unique<Dropout>(io::read_f64(in));
+  if (kind == "upsample") {
+    const int scale = io::read_i32(in);
+    require(scale >= 2, "scale", scale, ">= 2");
+    return std::make_unique<Upsample2D>(scale);
+  }
+  if (kind == "dropout") {
+    const double rate = io::read_f64(in);
+    require(rate >= 0.0 && rate < 1.0, "rate", rate, "in [0, 1)");
+    return std::make_unique<Dropout>(rate);
+  }
   throw std::runtime_error("Network::load: unknown layer kind '" + kind + "'");
 }
 
@@ -273,11 +315,7 @@ std::vector<ParamView> Network::params() {
 std::size_t Network::param_count() const {
   std::size_t n = 0;
   for (const auto& layer : layers_) {
-    // params() is non-const because it exposes mutable spans; cloning just
-    // to count would be wasteful, so we const_cast knowing we only read.
-    for (auto& view : const_cast<Layer&>(*layer).params()) {
-      n += view.values.size();
-    }
+    n += layer->param_count();
   }
   return n;
 }
@@ -318,11 +356,7 @@ void Network::init_weights(util::Rng& rng) {
 void Network::prepack_for_inference() const {
   for (const auto& layer : layers_) {
     if (const auto* conv = dynamic_cast<const Conv2D*>(layer.get())) {
-      // Pack for the precision the layer will execute in; packs for other
-      // precisions (explicit forward_packed_into calls in benchmarks) are
-      // built lazily on first use.
-      const Precision p = conv->precision();
-      (void)conv->packed(p);
+      conv->prepack();
     }
   }
 }
@@ -366,7 +400,7 @@ Network Network::load(std::istream& in) {
   Network net;
   for (int i = 0; i < n; ++i) {
     const std::string kind = io::read_string(in);
-    net.add(make_layer(kind, in));
+    net.add(make_layer(i, kind, in));
   }
   return net;
 }

@@ -83,12 +83,11 @@ class Network {
 
   void init_weights(util::Rng& rng);
 
-  /// Build every conv layer's packed-weight cache for its execution
-  /// precision (nn/kernels/pack.hpp). Called at model-load time
-  /// (persistence, offline pipeline) so the first inference request does
-  /// not pay the pack — and, for shared-weight serving, so concurrent
-  /// first touches never contend on the pack mutex. Idempotent; a no-op
-  /// when the cache is already current.
+  /// Build every conv layer's packed weights (Conv2D::prepack), so
+  /// inference only reads them. Called once the weights are final: at the
+  /// end of core::train_model and in core::load_artifacts. A no-op for
+  /// convs that already hold a pack. Like weight mutation, it requires the
+  /// caller to own the network exclusively (DESIGN.md §14, finding F3).
   void prepack_for_inference() const;
 
   [[nodiscard]] std::string describe() const;

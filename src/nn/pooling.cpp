@@ -110,11 +110,6 @@ std::string MaxPool2D::describe() const {
 }
 
 void MaxPool2D::save(std::ostream& out) const { io::write_i32(out, size_); }
-void MaxPool2D::load(std::istream& in) {
-  if (io::read_i32(in) != size_) {
-    throw std::runtime_error("MaxPool2D::load: size mismatch");
-  }
-}
 
 AvgPool2D::AvgPool2D(int size) : size_(size) {
   if (size < 2) {
@@ -224,11 +219,6 @@ std::string AvgPool2D::describe() const {
 }
 
 void AvgPool2D::save(std::ostream& out) const { io::write_i32(out, size_); }
-void AvgPool2D::load(std::istream& in) {
-  if (io::read_i32(in) != size_) {
-    throw std::runtime_error("AvgPool2D::load: size mismatch");
-  }
-}
 
 Upsample2D::Upsample2D(int scale) : scale_(scale) {
   if (scale < 2) {
@@ -292,10 +282,5 @@ std::string Upsample2D::describe() const {
 }
 
 void Upsample2D::save(std::ostream& out) const { io::write_i32(out, scale_); }
-void Upsample2D::load(std::istream& in) {
-  if (io::read_i32(in) != scale_) {
-    throw std::runtime_error("Upsample2D::load: scale mismatch");
-  }
-}
 
 }  // namespace sfn::nn

@@ -24,7 +24,6 @@ class MaxPool2D final : public Layer {
   [[nodiscard]] std::string describe() const override;
   [[nodiscard]] std::string kind() const override { return "maxpool"; }
   void save(std::ostream& out) const override;
-  void load(std::istream& in) override;
 
   [[nodiscard]] int size() const { return size_; }
 
@@ -51,7 +50,6 @@ class AvgPool2D final : public Layer {
   [[nodiscard]] std::string describe() const override;
   [[nodiscard]] std::string kind() const override { return "avgpool"; }
   void save(std::ostream& out) const override;
-  void load(std::istream& in) override;
 
   [[nodiscard]] int size() const { return size_; }
 
@@ -79,7 +77,6 @@ class Upsample2D final : public Layer {
   [[nodiscard]] std::string describe() const override;
   [[nodiscard]] std::string kind() const override { return "upsample"; }
   void save(std::ostream& out) const override;
-  void load(std::istream& in) override;
 
   [[nodiscard]] int scale() const { return scale_; }
 

@@ -15,6 +15,11 @@ namespace sfn::nn::io {
 /// plain writes suffice; the format carries a magic and version so it can
 /// be evolved).
 
+/// The precision slot a conv layer (Conv2D::save) and an artifact spec
+/// (core::save_spec) still carry. Every network runs in fp32, so writers
+/// store this value and readers reject any other.
+inline constexpr std::int32_t kPrecisionTagF32 = 0;
+
 inline void write_i32(std::ostream& out, std::int32_t v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }

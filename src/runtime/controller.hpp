@@ -1,6 +1,5 @@
 #pragma once
 
-#include "nn/precision.hpp"
 #include "runtime/predictor.hpp"
 #include "util/timer.hpp"
 
@@ -18,11 +17,6 @@ struct RuntimeCandidate {
   double probability = 0.0;     ///< MLP success probability for U(q, t).
   double mean_seconds = 0.0;    ///< Offline mean simulation time.
   double mean_quality = 0.0;    ///< Offline mean quality loss.
-  /// Execution precision of the underlying model (informational for the
-  /// controller — candidates are interchangeable points on the ladder —
-  /// but surfaced so traces and session summaries can attribute a switch
-  /// to a quantized variant).
-  nn::Precision precision = nn::Precision::kFloat32;
 };
 
 /// Decision taken at a check point (paper Algorithm 2, lines 9-17), plus

@@ -37,7 +37,7 @@ long long env_int(const std::string& name, long long fallback);
 
 /// Read a floating-point environment variable with a fallback. Malformed
 /// values (trailing junk, empty) fall back rather than half-parse; used
-/// for threshold knobs such as SFN_QUANT_MAX_QLOSS.
+/// for threshold knobs such as SFN_GUARD_RESIDUAL.
 double env_double(const std::string& name, double fallback);
 
 /// Read a string environment variable with a fallback (empty counts as

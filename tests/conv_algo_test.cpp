@@ -122,8 +122,7 @@ TEST(ConvAlgoParity, RangedIm2colMatchesFull) {
 }
 
 TEST(ConvAlgoDispatch, OverrideForcesAlgorithm) {
-  // The layer's precision overrides the shape rule; for float layers the
-  // shape alone picks the kernel.
+  // The input shape alone picks the kernel.
   nn::Conv2D wide(16, 16, 3);
   nn::Conv2D proj(8, 1, 3);  // A ladder model's final projection.
   const Shape big{16, 64, 64};
@@ -136,14 +135,6 @@ TEST(ConvAlgoDispatch, OverrideForcesAlgorithm) {
   EXPECT_EQ(nn::ConvAlgo::kNaive, wide.choose_algo(tiny));
   EXPECT_EQ(nn::ConvAlgo::kNaive,
             nn::Conv2D(8, 8, 1).choose_algo(Shape{8, 64, 64}));
-
-  // A quantized candidate never runs at full precision, whatever the shape.
-  wide.set_precision(nn::Precision::kInt8);
-  EXPECT_EQ(nn::ConvAlgo::kInt8, wide.choose_algo(big));
-  EXPECT_EQ(nn::ConvAlgo::kInt8, wide.choose_algo(tiny));
-  wide.set_precision(nn::Precision::kBf16);
-  EXPECT_EQ(nn::ConvAlgo::kBf16, wide.choose_algo(big));
-  EXPECT_EQ(nn::ConvAlgo::kBf16, wide.choose_algo(tiny));
 }
 
 TEST(ConvAlgoDispatch, ForwardIntoMatchesForward) {

@@ -5,11 +5,14 @@
 #include "nn/network.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/pooling.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 
 namespace sfn {
@@ -108,6 +111,97 @@ TEST(Network, LoadRejectsGarbage) {
   std::stringstream buffer;
   buffer << "not a network";
   EXPECT_THROW(Network::load(buffer), std::runtime_error);
+}
+
+std::string saved(const Network& net) {
+  std::stringstream buffer;
+  net.save(buffer);
+  return buffer.str();
+}
+
+/// `bytes` of a saved one-layer net with its layer's header field number
+/// `field` (each 4 bytes wide) overwritten by `value`. The layer's fields
+/// follow the magic, version, layer count and kind string.
+template <typename T>
+std::string patched(std::string bytes, const std::string& kind, int field,
+                    T value) {
+  const std::size_t offset =
+      4 * sizeof(std::int32_t) + kind.size() + field * sizeof(std::int32_t);
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+  return bytes;
+}
+
+/// Loading `bytes` throws a runtime_error naming layer 0, its kind and
+/// the bad field.
+void expect_rejected(const std::string& bytes, const std::string& kind,
+                     const std::string& field) {
+  SCOPED_TRACE(kind + " " + field);
+  std::istringstream in(bytes);
+  try {
+    (void)Network::load(in);
+    ADD_FAILURE() << "loaded a layer header with a bad " << field;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("layer 0 (" + kind + ")"), std::string::npos) << what;
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "threw something other than runtime_error: " << e.what();
+  }
+}
+
+Network one_layer(std::unique_ptr<nn::Layer> layer) {
+  Network net;
+  net.add(std::move(layer));
+  return net;
+}
+
+TEST(Network, LoadRejectsImplausibleLayerHeaders) {
+  // conv2d: in_channels, out_channels, kernel, residual, precision.
+  const std::string conv =
+      saved(one_layer(std::make_unique<nn::Conv2D>(2, 4, 3)));
+  expect_rejected(patched(conv, "conv2d", 0, -1), "conv2d", "in_channels");
+  expect_rejected(patched(conv, "conv2d", 0, 0), "conv2d", "in_channels");
+  expect_rejected(patched(conv, "conv2d", 2, 2), "conv2d", "kernel");
+  expect_rejected(patched(conv, "conv2d", 3, 1), "conv2d", "residual");
+  expect_rejected(patched(conv, "conv2d", 4, 1), "conv2d", "precision");
+  // 2^30 x 2^30 channels of 3x3 weights: 9·2^60 floats, more than a
+  // std::vector can hold, so no reader could ever allocate them.
+  expect_rejected(patched(patched(conv, "conv2d", 0, 1 << 30), "conv2d", 1,
+                          1 << 30),
+                  "conv2d", "weight count");
+
+  const std::string dense =
+      saved(one_layer(std::make_unique<nn::Dense>(3, 2)));
+  expect_rejected(patched(dense, "dense", 1, 0), "dense", "out_features");
+
+  const std::string pool =
+      saved(one_layer(std::make_unique<nn::MaxPool2D>(2)));
+  expect_rejected(patched(pool, "maxpool", 0, 1), "maxpool", "size");
+
+  const std::string dropout =
+      saved(one_layer(std::make_unique<nn::Dropout>(0.25)));
+  expect_rejected(patched(dropout, "dropout", 0,
+                          std::numeric_limits<double>::quiet_NaN()),
+                  "dropout", "rate");
+}
+
+TEST(Network, CountingParamsKeepsThePacks) {
+  // param_count() and memory_bytes() only read the weights, so the packs
+  // survive them and the next forward builds none.
+  Network net;
+  net.emplace<nn::Conv2D>(2, 8, 3);
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::Conv2D>(8, 1, 3);
+  net.prepack_for_inference();
+  const Network& view = net;
+  EXPECT_EQ(view.param_count(), (2u * 8 * 9 + 8) + (8u * 9 + 1));
+  EXPECT_GT(view.memory_bytes(Shape{2, 32, 32}), 0u);
+
+  obs::Counter& pack_calls = obs::counter("nn.pack_calls");
+  const std::uint64_t before = pack_calls.value();
+  nn::Workspace ws;
+  view.forward_inference(Tensor(Shape{2, 32, 32}, 0.5f), ws);
+  EXPECT_EQ(pack_calls.value(), before);
 }
 
 TEST(Network, EraseAndInsertLayer) {

@@ -1,8 +1,11 @@
 // Tests for the SIMD microkernel layer (nn/kernels, DESIGN.md §13):
 // packed-vs-naive parity, scalar-vs-SIMD bit-exactness, fused-ReLU
-// epilogues (in the kernels and across a whole network), pack-cache
-// invalidation on weight mutation, and the zero-allocation steady state.
+// epilogues (in the kernels and across a whole network), build-once packs
+// (prepacked ≡ workspace-packed, dropped on weight mutation, never rebuilt
+// by inference), and the zero-allocation steady state.
 
+#include "core/offline.hpp"
+#include "modelgen/arch_spec.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/kernels/isa.hpp"
@@ -10,6 +13,7 @@
 #include "nn/workspace.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
+#include "workload/problems.hpp"
 
 #include <gtest/gtest.h>
 #include <omp.h>
@@ -17,6 +21,8 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <new>
 
 // ---------------------------------------------------------------------------
@@ -73,6 +79,12 @@ void expect_bit_identical(const Tensor& a, const Tensor& b) {
   for (std::size_t i = 0; i < a.numel(); ++i) {
     ASSERT_EQ(a[i], b[i]) << "at flat index " << i;
   }
+}
+
+void expect_same_bytes(const Tensor& a, const Tensor& b) {
+  ASSERT_EQ(a.shape(), b.shape());
+  EXPECT_EQ(0, std::memcmp(a.data().data(), b.data().data(),
+                           a.numel() * sizeof(float)));
 }
 
 struct ConvCase {
@@ -159,8 +171,7 @@ TEST(PackedKernel, FusedReluMatchesSeparatePass) {
     relu.forward_into(plain, separate, ws);
 
     Tensor fused;
-    conv.forward_packed_into(input, fused, ws, nn::Precision::kFloat32,
-                             /*fuse_relu=*/true);
+    conv.forward_packed_into(input, fused, ws, /*fuse_relu=*/true);
     expect_bit_identical(separate, fused);
   }
 }
@@ -188,28 +199,91 @@ TEST(PackedKernel, NetworkElidesReluAfterFusingConv) {
   expect_bit_identical(unfused, inferred);
 }
 
-TEST(PackedKernel, WeightMutationInvalidatesPack) {
-  nn::Conv2D conv(4, 6, 3);
-  const Tensor input = random_tensor(Shape{4, 16, 16}, 0x51);
+TEST(PackedKernel, PrepackedMatchesWorkspacePacked) {
+  // A conv without a pack of its own packs into the caller's workspace on
+  // every call; a prepacked conv reads the pack it built once. The two
+  // layouts are the same, so the outputs are the same bytes.
   nn::Workspace ws;
+  for (const auto& c : kCases) {
+    for (const bool residual : {false, true}) {
+      if (residual && c.in_c != c.out_c) continue;
+      for (const bool relu : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "in_c=" << c.in_c << " out_c=" << c.out_c
+                     << " k=" << c.k << " h=" << c.h << " w=" << c.w
+                     << " res=" << residual << " relu=" << relu);
+        nn::Conv2D conv(c.in_c, c.out_c, c.k, residual);
+        const Tensor input = random_tensor(Shape{c.in_c, c.h, c.w}, 0x9ac);
+        Tensor from_workspace;
+        conv.forward_packed_into(input, from_workspace, ws, relu);
+        conv.prepack();
+        Tensor from_pack;
+        conv.forward_packed_into(input, from_pack, ws, relu);
+        expect_same_bytes(from_workspace, from_pack);
+      }
+    }
+  }
 
-  Tensor before;
-  conv.forward_packed_into(input, before, ws);
-  const auto pack_before = conv.packed(nn::Precision::kFloat32);
+  nn::Network net;
+  net.emplace<nn::Conv2D>(2, 8, 3);
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::Conv2D>(8, 8, 3, /*residual=*/true);
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::Conv2D>(8, 4, 1);  // Naive: 8 taps.
+  net.emplace<nn::Conv2D>(4, 1, 3);
+  const nn::Network prepacked = net;
+  prepacked.prepack_for_inference();
+  const Tensor input = random_tensor(Shape{2, 40, 36}, 0x9ad);
+  nn::Workspace ws_a;
+  nn::Workspace ws_b;
+  expect_same_bytes(net.forward_inference(input, ws_a),
+                    prepacked.forward_inference(input, ws_b));
+}
 
-  conv.weight(3, 1, 0, 2) += 0.75f;
-  conv.bias(5) -= 0.25f;
+TEST(PackedKernel, WeightMutationInvalidatesPack) {
+  // Every weight-mutation route drops the pack, so the next forward reads
+  // the new weights: the same bytes as a freshly prepacked copy, and the
+  // naive kernel's result within rounding.
+  const Tensor input = random_tensor(Shape{4, 16, 16}, 0x51);
+  const struct {
+    const char* route;
+    std::function<void(nn::Conv2D&)> mutate;
+  } routes[] = {
+      {"weight()", [](nn::Conv2D& c) { c.weight(3, 1, 0, 2) += 0.75f; }},
+      {"bias()", [](nn::Conv2D& c) { c.bias(5) -= 0.25f; }},
+      {"params()", [](nn::Conv2D& c) { c.params()[0].values[7] *= -2.0f; }},
+      {"init_weights()",
+       [](nn::Conv2D& c) {
+         util::Rng rng(0x1417);
+         c.init_weights(rng);
+       }},
+  };
+  nn::Workspace ws;
+  for (const auto& [route, mutate] : routes) {
+    SCOPED_TRACE(route);
+    nn::Conv2D conv(4, 6, 3);
+    conv.prepack();
+    Tensor before;
+    conv.forward_packed_into(input, before, ws);
 
-  Tensor naive;
-  Tensor packed;
-  conv.forward_naive_into(input, naive);
-  conv.forward_packed_into(input, packed, ws);
-  expect_close(naive, packed, 1e-5);
+    mutate(conv);
+    Tensor after;
+    conv.forward_packed_into(input, after, ws);
 
-  const auto pack_after = conv.packed(nn::Precision::kFloat32);
-  EXPECT_NE(pack_before.get(), pack_after.get())
-      << "stale packed weights survived a weight mutation";
-  EXPECT_GT(pack_after->revision, pack_before->revision);
+    const auto fresh = conv.clone();
+    const auto& fresh_conv = static_cast<const nn::Conv2D&>(*fresh);
+    fresh_conv.prepack();
+    Tensor expected;
+    fresh_conv.forward_packed_into(input, expected, ws);
+    expect_same_bytes(expected, after);
+
+    Tensor naive;
+    conv.forward_naive_into(input, naive);
+    expect_close(naive, after, 1e-5);
+    EXPECT_NE(0, std::memcmp(before.data().data(), after.data().data(),
+                             after.numel() * sizeof(float)))
+        << "the mutation did not reach the output";
+  }
 }
 
 TEST(PackedKernel, SteadyStatePackedInferenceIsAllocationFree) {
@@ -224,40 +298,87 @@ TEST(PackedKernel, SteadyStatePackedInferenceIsAllocationFree) {
   net.emplace<nn::Conv2D>(8, 8, 3, /*residual=*/true);
   net.emplace<nn::ReLU>();
   net.emplace<nn::Conv2D>(8, 1, 3);
-  net.prepack_for_inference();
 
   const Tensor input = random_tensor(Shape{2, 48, 48}, 0xa110c);
-  nn::Workspace ws;
-  for (int warm = 0; warm < 3; ++warm) {
-    net.forward_inference(input, ws);
-  }
-
   obs::Counter& packed_calls = obs::counter("nn.conv.packed_calls");
-  const std::uint64_t packed_before = packed_calls.value();
-  g_alloc_count.store(0);
-  g_count_allocs.store(true);
-  double checksum = 0.0;
-  for (int i = 0; i < 8; ++i) {
-    checksum += net.forward_inference(input, ws).sum();
-  }
-  g_count_allocs.store(false);
+  obs::Counter& pack_calls = obs::counter("nn.pack_calls");
+  // First without packs (each conv repacks into the workspace's slot),
+  // then prepacked (each conv reads its own pack): neither touches the
+  // heap once the workspace is warm.
+  for (const bool prepacked : {false, true}) {
+    SCOPED_TRACE(prepacked ? "prepacked" : "workspace-packed");
+    if (prepacked) {
+      net.prepack_for_inference();
+    }
+    nn::Workspace ws;
+    for (int warm = 0; warm < 3; ++warm) {
+      net.forward_inference(input, ws);
+    }
 
-  EXPECT_EQ(packed_calls.value() - packed_before, 8u * 3u)
-      << "a conv left the packed kernel";
-  EXPECT_EQ(0u, g_alloc_count.load())
-      << "steady-state packed inference touched the heap";
-  EXPECT_TRUE(std::isfinite(checksum));
+    const std::uint64_t packed_before = packed_calls.value();
+    const std::uint64_t packs_before = pack_calls.value();
+    g_alloc_count.store(0);
+    g_count_allocs.store(true);
+    double checksum = 0.0;
+    for (int i = 0; i < 8; ++i) {
+      checksum += net.forward_inference(input, ws).sum();
+    }
+    g_count_allocs.store(false);
+
+    EXPECT_EQ(packed_calls.value() - packed_before, 8u * 3u)
+        << "a conv left the packed kernel";
+    EXPECT_EQ(pack_calls.value() - packs_before, prepacked ? 0u : 8u * 3u);
+    EXPECT_EQ(0u, g_alloc_count.load())
+        << "steady-state packed inference touched the heap";
+    EXPECT_TRUE(std::isfinite(checksum));
+  }
   omp_set_num_threads(old_threads);
 }
 
 TEST(PackedKernel, RepeatedLookupsShareOneSnapshot) {
-  nn::Conv2D conv(4, 8, 3);
-  conv.set_precision(nn::Precision::kInt8);
-  const auto before = conv.packed(conv.precision());
-  // A second lookup with unchanged weights must return the same snapshot
-  // (prepack_for_inference relies on this to be an idempotent no-op).
-  const auto again = conv.packed(conv.precision());
-  EXPECT_EQ(before.get(), again.get());
+  // Packs are built once: a second prepack_for_inference finds every conv
+  // packed and builds nothing, and inference builds nothing either.
+  nn::Network net;
+  net.emplace<nn::Conv2D>(4, 8, 3);
+  net.emplace<nn::ReLU>();
+  net.emplace<nn::Conv2D>(8, 2, 3);
+  obs::Counter& pack_calls = obs::counter("nn.pack_calls");
+  const std::uint64_t before = pack_calls.value();
+  net.prepack_for_inference();
+  EXPECT_EQ(pack_calls.value() - before, 2u);
+  net.prepack_for_inference();
+  EXPECT_EQ(pack_calls.value() - before, 2u);
+  nn::Workspace ws;
+  net.forward_inference(random_tensor(Shape{4, 32, 32}, 0x5ee), ws);
+  EXPECT_EQ(pack_calls.value() - before, 2u);
+}
+
+TEST(PackedKernel, TrainedModelInfersWithoutPacking) {
+  // core::train_model prepacks once the weights are final, and copies of
+  // the network (NeuralProjection's owning copy) keep the packs: inference
+  // on either builds none.
+  workload::ProblemSetParams params;
+  params.grid = 24;
+  params.steps = 4;
+  const auto samples = core::collect_training_data(
+      workload::generate_problems(1, params, 21), 2);
+  util::Rng rng(21);
+  core::SurrogateTrainParams train;
+  train.epochs = 1;
+  const core::TrainedModel model = core::train_model(
+      modelgen::tompson_spec(4), samples, train, rng, "packed_kernel_test");
+  const nn::Network copy = model.net;
+
+  obs::Counter& packed_calls = obs::counter("nn.conv.packed_calls");
+  obs::Counter& pack_calls = obs::counter("nn.pack_calls");
+  const std::uint64_t packed_before = packed_calls.value();
+  const std::uint64_t packs_before = pack_calls.value();
+  const Tensor input = random_tensor(Shape{2, 48, 48}, 0x7a1);
+  nn::Workspace ws;
+  model.net.forward_inference(input, ws);
+  copy.forward_inference(input, ws);
+  EXPECT_GT(packed_calls.value() - packed_before, 0u);
+  EXPECT_EQ(pack_calls.value(), packs_before);
 }
 
 }  // namespace

@@ -8,12 +8,18 @@
 #include "core/persistence.hpp"
 #include "core/session.hpp"
 #include "golden_support.hpp"
+#include "nn/conv2d.hpp"
 #include "serve/session_server.hpp"
 #include "serve_test_support.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <sstream>
+#include <string>
 
 namespace sfn {
 namespace {
@@ -136,6 +142,76 @@ TEST_F(PersistenceRoundTrip, SecondRoundTripIsStable) {
   for (std::size_t k = 0; k < once_run.final_density.size(); ++k) {
     ASSERT_EQ(once_run.final_density[k], twice_run.final_density[k]) << k;
   }
+}
+
+/// `bytes` with the i32 at `offset` replaced by `tag`.
+std::string with_tag(std::string bytes, std::size_t offset, std::int32_t tag) {
+  std::memcpy(bytes.data() + offset, &tag, sizeof(tag));
+  return bytes;
+}
+
+/// Runs `load` and expects the runtime_error that names the precision
+/// field.
+template <typename Load>
+void expect_precision_rejected(Load load) {
+  try {
+    load();
+    ADD_FAILURE() << "a non-fp32 precision tag loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("precision"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PersistenceFormat, NetworkRejectsNonFp32PrecisionTag) {
+  // Every conv still writes the fp32 tag (0) in its precision slot: after
+  // the magic, version, layer count, kind string and four dimensions.
+  nn::Network net;
+  net.emplace<nn::Conv2D>(2, 4, 3);
+  std::stringstream buffer;
+  net.save(buffer);
+  const std::size_t offset = 4 * 4 + std::string("conv2d").size() + 4 * 4;
+  std::int32_t written = -1;
+  std::memcpy(&written, buffer.str().data() + offset, sizeof(written));
+  EXPECT_EQ(0, written);
+  for (const std::int32_t tag : {1, 2}) {
+    SCOPED_TRACE(tag);
+    expect_precision_rejected([&] {
+      std::istringstream in(with_tag(buffer.str(), offset, tag));
+      (void)nn::Network::load(in);
+    });
+  }
+}
+
+TEST_F(PersistenceRoundTrip, ArtifactSpecRejectsNonFp32PrecisionTag) {
+  // Saved to a directory of its own: ctest runs each test of this suite
+  // in its own process, and their teardowns remove dir_.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "sfn_persistence_tag_test";
+  core::save_artifacts(*original_, dir);
+  std::string bytes;
+  {
+    std::ifstream in(dir / "artifacts.bin", std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  // The first model's spec slot sits after the magic, version, model
+  // count and the spec's in/out channel counts.
+  const std::size_t offset = 5 * 4;
+  ASSERT_GT(bytes.size(), offset + 4);
+  std::int32_t written = -1;
+  std::memcpy(&written, bytes.data() + offset, sizeof(written));
+  EXPECT_EQ(0, written);
+  for (const std::int32_t tag : {1, 2}) {
+    SCOPED_TRACE(tag);
+    {
+      std::ofstream out(dir / "artifacts.bin", std::ios::binary);
+      const std::string patched = with_tag(bytes, offset, tag);
+      out.write(patched.data(), static_cast<std::streamsize>(patched.size()));
+    }
+    expect_precision_rejected([&] { (void)core::load_artifacts(dir); });
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -77,6 +77,13 @@ Mechanically enforceable project rules (see DESIGN.md §9):
                         contains the family name — new adversarial
                         workloads ship with their regression baseline or
                         not at all (DESIGN.md §17).
+  R12 env-knob-docs     The SFN_* names passed as the first argument to
+                        util::env_{int,double,str,choice} under src/,
+                        bench/ and examples/ are exactly the names in
+                        README's knob-table rows (| `SFN_...` |). A knob
+                        read but not documented, or a row whose knob the
+                        code no longer reads, is a finding — deletions must
+                        take their README rows with them.
 
 Escape hatches are deliberate annotations, not config: append
 `// sfn-lint: allow-alloc` (R1), `// sfn-lint: safe-cast` (R3),
@@ -625,6 +632,47 @@ def rule_scene_family_golden(root: pathlib.Path) -> None:
                 "`golden_test --update-golden`)")
 
 
+# R12: the SFN_* knobs the code reads are exactly the knobs README
+# documents. The literal may follow a line break after the call's
+# parenthesis.
+
+ENV_READ_RE = re.compile(
+    r'\butil::env_(?:int|double|str|choice)\s*\(\s*"(SFN_[A-Z0-9_]+)"')
+README_KNOB_RE = re.compile(r"^\|\s*`(SFN_[A-Z0-9_]+)`\s*\|", re.MULTILINE)
+
+
+def rule_env_knob_docs(root: pathlib.Path) -> None:
+    read: dict[str, tuple[pathlib.Path, int]] = {}
+    for sub in ("src", "bench", "examples"):
+        base = root / sub
+        if not base.is_dir():
+            continue
+        for path in sorted(base.rglob("*.[ch]pp")):
+            code = "\n".join(
+                strip_line_comment(line)
+                for line in path.read_text(encoding="utf-8").splitlines())
+            for match in ENV_READ_RE.finditer(code):
+                line_no = code.count("\n", 0, match.start(1)) + 1
+                read.setdefault(match.group(1),
+                                (path.relative_to(root), line_no))
+    readme = root / "README.md"
+    text = readme.read_text(encoding="utf-8") if readme.is_file() else ""
+    documented: dict[str, int] = {}
+    for match in README_KNOB_RE.finditer(text):
+        documented.setdefault(match.group(1),
+                              text.count("\n", 0, match.start()) + 1)
+    for name, (path, line_no) in sorted(read.items()):
+        if name not in documented:
+            report("env-knob-docs", path, line_no,
+                   f"{name} is read here but README's knob tables have no "
+                   "row for it")
+    for name, line_no in sorted(documented.items()):
+        if name not in read:
+            report("env-knob-docs", pathlib.Path("README.md"), line_no,
+                   f"README documents {name}, but no util::env_* call "
+                   "under src/, bench/ or examples/ reads it")
+
+
 # --------------------------------------------------------------------------
 # Optional clang-tidy pass (skipped when unavailable).
 
@@ -679,6 +727,7 @@ def main() -> int:
     rule_raw_intrinsics(root)
     rule_metric_name(root)
     rule_scene_family_golden(root)
+    rule_env_knob_docs(root)
     mutex_mode = rule_raw_mutex(root, args.build_dir)
     if args.no_clang_tidy:
         tidy_status = "skipped (--no-clang-tidy)"

@@ -13,7 +13,6 @@
 #include "fluid/pcg.hpp"
 #include "modelgen/arch_spec.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/im2col.hpp"
 #include "nn/kernels/isa.hpp"
 #include "nn/workspace.hpp"
 #include "util/rng.hpp"
@@ -22,6 +21,7 @@
 #include <benchmark/benchmark.h>
 #include <omp.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <map>
@@ -122,22 +122,6 @@ void BM_ConvPacked(benchmark::State& state) {
       benchmark::Counter::kIs1000);
 }
 BENCHMARK(BM_ConvPacked)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_Im2col(benchmark::State& state) {
-  const SingleThreadScope st;
-  const int n = static_cast<int>(state.range(0));
-  const int c = 16;
-  const int k = 3;
-  const nn::Tensor input = random_input(c, n, 31);
-  std::vector<float> col(static_cast<std::size_t>(c) * k * k * n * n);
-  for (auto _ : state) {
-    nn::im2col(input.data().data(), c, n, n, k, col.data());
-    benchmark::DoNotOptimize(col.data());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(col.size()) * 4);
-}
-BENCHMARK(BM_Im2col)->Arg(64)->Arg(128);
 
 /// Batched multi-problem evaluation: the adaptive runtime scores many
 /// candidate problems per decision, so cross-problem parallelism is the
@@ -331,6 +315,49 @@ std::vector<SweepRow> run_conv_sweep() {
   return rows;
 }
 
+/// Whole-network rows: a prepacked tompson(8) forward_inference on the
+/// served (48²) and solo (128²) grids, on one thread and on the default
+/// team, so the conv's team scaling shows beside its single-thread rate.
+/// Each width runs for a second before it is timed and reports the best
+/// of five timings: on a shared VM, a team whose threads have just
+/// started, or whose cores another tenant holds, can run at a small
+/// fraction of speed for a second or more (48² calls of 140–780 ms
+/// instead of 0.1–0.6 ms), which time_kernel's one warm-up call would
+/// time.
+util::Table network_forward_table() {
+  using clock = std::chrono::steady_clock;
+  util::Rng rng(7);
+  const auto net = modelgen::build_network(modelgen::tompson_spec(8), rng);
+  net.prepack_for_inference();
+  const int team = omp_get_max_threads();
+  std::vector<int> widths = {1};
+  if (team > 1) {
+    widths.push_back(team);
+  }
+  util::Table table({"model", "grid", "threads", "ms_per_forward", "gflops"});
+  for (const int n : {48, 128}) {
+    const nn::Tensor input = random_input(2, n, 13);
+    const double flops = static_cast<double>(net.flops(input.shape()));
+    for (const int threads : widths) {
+      omp_set_num_threads(threads);
+      nn::Workspace ws;
+      const auto forward = [&] { net.forward_inference(input, ws); };
+      const auto settled = clock::now() + std::chrono::seconds(1);
+      while (clock::now() < settled) {
+        forward();
+      }
+      double sec = time_kernel(forward);
+      for (int repeat = 1; repeat < 5; ++repeat) {
+        sec = std::min(sec, time_kernel(forward));
+      }
+      table.add_row({"tompson8", std::to_string(n), std::to_string(threads),
+                     util::fmt(sec * 1e3, 4), util::fmt(flops / sec / 1e9, 3)});
+    }
+  }
+  omp_set_num_threads(team);
+  return table;
+}
+
 void report_conv_sweep(const util::BenchConfig& cfg) {
   const auto rows = run_conv_sweep();
 
@@ -361,6 +388,9 @@ void report_conv_sweep(const util::BenchConfig& cfg) {
   }
   speedup.print("Packed microkernel speedup over the naive conv");
 
+  const util::Table network = network_forward_table();
+  network.print("Prepacked tompson(8) forward_inference (whole network)");
+
   util::Table provenance({"detected_isa", "active_isa", "omp_max_threads"});
   provenance.add_row({nn::kernels::isa_name(nn::kernels::detected_isa()),
                       nn::kernels::isa_name(nn::kernels::active_isa()),
@@ -369,6 +399,7 @@ void report_conv_sweep(const util::BenchConfig& cfg) {
   bench::write_json("BENCH_kernels.json", cfg,
                     {{"conv_algos", &table},
                      {"speedup", &speedup},
+                     {"network_forward", &network},
                      {"provenance", &provenance}});
 }
 

@@ -1,7 +1,7 @@
 #include "fluid/advection.hpp"
 
-#include "fluid/team.hpp"
 #include "util/check.hpp"
+#include "util/team.hpp"
 
 #include <algorithm>
 #include <cstddef>
@@ -230,7 +230,7 @@ void advect_fields(const MacGrid2& vel, const FlagGrid& flags, double dt,
     rows += f.dst->ny();
   }
   const auto each_row = [&](const auto& body) {
-    for_rows(rows, [&](int r) {
+    util::for_rows(rows, [&](int r) {
       for (const Field& f : fields) {
         if (r < f.dst->ny()) {
           body(f, r);

@@ -1,9 +1,9 @@
 #include "fluid/pcg.hpp"
 
-#include "fluid/team.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
+#include "util/team.hpp"
 #include "util/timer.hpp"
 
 #include <omp.h>
@@ -249,7 +249,7 @@ double PcgSolver::precondition() {
   const double* const r = r_.data();
   float* const z = z_.data();
   double* const row_partial = row_partial_.data();
-  for_rows((ny + kDotRows - 1) / kDotRows, [&](int g) {
+  util::for_rows((ny + kDotRows - 1) / kDotRows, [&](int g) {
     const int j0 = g * kDotRows;
     const int j1 = std::min(ny, j0 + kDotRows);
     for (std::size_t k = j0 * nx; k < j1 * nx; ++k) {
@@ -327,7 +327,7 @@ double PcgSolver::precondition_ic() {
     // order, so a team smaller than `bands` (a nested region, say) still
     // completes: the lowest (highest, backward) unfinished band only
     // ever waits on a finished one.
-    on_team([&](int first, int team) {
+    util::on_team([&](int first, int team) {
       for (int b = first; b < bands; b += team) {
         forward_band(b);
       }
@@ -402,7 +402,7 @@ SolveStats PcgSolver::solve(const FlagGrid& flags, const GridF& rhs,
   for (std::size_t k = 0; k < n; ++k) {
     p[k] = (stencil[k] & kFluid) ? out[k] : 0.0;
   }
-  for_rows(ny, [&](int j) {
+  util::for_rows(ny, [&](int j) {
     const std::size_t row = static_cast<std::size_t>(j) * stride;
     double m = 0.0;
     for (std::size_t k = row; k < row + stride; ++k) {
@@ -434,7 +434,7 @@ SolveStats PcgSolver::solve(const FlagGrid& flags, const GridF& rhs,
   int iter = 0;
   for (; iter < params_.max_iterations; ++iter) {
     // as = A s, fused with the dot product s.as.
-    for_rows(groups, [&](int g) {
+    util::for_rows(groups, [&](int g) {
       const int j0 = g * kDotRows;
       const int j1 = std::min(ny, j0 + kDotRows);
       for (std::size_t k = j0 * stride; k < j1 * stride; ++k) {
@@ -451,7 +451,7 @@ SolveStats PcgSolver::solve(const FlagGrid& flags, const GridF& rhs,
       break;
     }
     const double alpha = sigma / s_as;
-    for_rows(ny, [&](int j) {
+    util::for_rows(ny, [&](int j) {
       const std::size_t row = static_cast<std::size_t>(j) * stride;
       double m = 0.0;
       for (std::size_t k = row; k < row + stride; ++k) {
@@ -473,7 +473,7 @@ SolveStats PcgSolver::solve(const FlagGrid& flags, const GridF& rhs,
     const double sigma_new = precondition();
     const double beta = sigma_new / sigma;
     sigma = sigma_new;
-    for_rows(ny, [&](int j) {
+    util::for_rows(ny, [&](int j) {
       const std::size_t row = static_cast<std::size_t>(j) * stride;
       for (std::size_t k = row; k < row + stride; ++k) {
         if (stencil[k] & kFluid) {

@@ -1,9 +1,9 @@
 #include "fluid/smoke_sim.hpp"
 
 #include "fluid/operators.hpp"
-#include "fluid/team.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/team.hpp"
 #include "util/timer.hpp"
 
 #include <cmath>
@@ -264,7 +264,7 @@ void SmokeSim::add_vorticity_confinement() {
   }
   GridF& w = vorticity_;
   GridF& mag = vorticity_mag_;
-  for_rows(ny, [&](int j) {
+  util::for_rows(ny, [&](int j) {
     for (int i = 0; i < nx; ++i) {
       w(i, j) = vorticity_at(i, j);
       mag(i, j) = std::abs(w(i, j));
@@ -279,7 +279,7 @@ void SmokeSim::add_vorticity_confinement() {
   const double dx = 1.0 / nx;
   const auto eps_dt =
       static_cast<float>(params_.vorticity_confinement * dx * params_.dt);
-  for_rows(ny, [&](int j) {
+  util::for_rows(ny, [&](int j) {
     for (int i = 0; i < nx; ++i) {
       if (!pushes(i, j)) {
         continue;
@@ -300,7 +300,7 @@ void SmokeSim::add_vorticity_confinement() {
   // face, so the bits do not depend on the team size.
   GridF& u = vel_.u();
   GridF& v = vel_.v();
-  for_rows(ny + ny + 1, [&](int r) {
+  util::for_rows(ny + ny + 1, [&](int r) {
     if (r < ny) {
       const int j = r;
       for (int i = 0; i <= nx; ++i) {

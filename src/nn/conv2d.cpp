@@ -65,7 +65,7 @@ std::uint64_t Conv2D::flops(const Shape& input) const {
 
 ConvAlgo Conv2D::choose_algo(const Shape& input) const {
   // The packed kernel wins once the column matrix (taps x channels) is
-  // tall enough to amortise the im2col and tiling over a non-trivial
+  // tall enough to amortise the slab copy and tiling over a non-trivial
   // image; below that the per-tap loop's lower setup cost wins (e.g. the
   // first 2-channel 3x3 layer on a tiny validation grid, or 1x1
   // bottlenecks with very few channels).

@@ -4,11 +4,14 @@
 //
 // The packed conv path computes C = epilogue(A·B) where A is the layer's
 // weight matrix (out_c × K, K = in_c·k·k) pre-packed into kMr-row panels
-// and B is an im2col chunk (K × chunk_pixels, rows contiguous at stride
-// ldb). A microkernel owns one kMr × kNr tile of C: it keeps every
-// accumulator in registers across the whole K loop and applies the fused
-// epilogue (bias init, optional residual add, optional ReLU) before the
-// single store pass — activation never makes a second trip over memory.
+// and B is the unfolded input, never materialised: row p of a kNr-pixel
+// strip starts at `b + boff[p]`, where `b` is the strip's window origin in
+// a zero-padded input slab and `boff` the conv's K-entry tap-offset table
+// (nn/kernels/packed_conv.cpp). A microkernel owns one rows × kNr tile of
+// C: it keeps every accumulator in registers across the whole K loop and
+// applies the fused epilogue (bias init, optional residual add, optional
+// ReLU) before the single store pass — activation never makes a second
+// trip over memory.
 //
 // Determinism contract: every ISA accumulates each output element in the
 // same order with fused multiply-adds (std::fmaf in the scalar reference,
@@ -32,14 +35,15 @@ inline constexpr int kNr = 16;
 /// Full-width f32 tile: computes `rows` (≤ kMr) rows × kNr columns.
 ///
 ///   c[r*ldc + j] = relu?max(0,·) : (·)
-///     where (·) = fma-chain( bias[r], Σ_p a[p*kMr + r] * b[p*ldb + j] )
+///     where (·) = fma-chain( bias[r], Σ_p a[p*kMr + r] * b[boff[p] + j] )
 ///                 (+ res[r*ldres + j] when res != nullptr)
 ///
 /// `a` is one packed panel (K × kMr, column r is output row r, padded rows
-/// are zero); `bias` is the padded per-row bias. All kMr accumulators are
-/// computed; only `rows` rows are stored.
+/// are zero); `bias` is the padded per-row bias; `boff` holds K offsets
+/// from `b` to each B row. Only the `rows` live rows are computed and
+/// stored.
 using TileKernelF32 = void (*)(int K, const float* a, const float* bias,
-                               const float* b, std::size_t ldb,
+                               const float* b, const std::ptrdiff_t* boff,
                                const float* res, std::size_t ldres,
                                float* c, std::size_t ldc, int rows,
                                bool relu);
@@ -58,8 +62,9 @@ struct KernelSet {
 /// Portable reference tile; also the tail path for every ISA. `cols` may
 /// be any value in [1, kNr].
 void tile_f32_ref(int K, const float* a, const float* bias, const float* b,
-                  std::size_t ldb, const float* res, std::size_t ldres,
-                  float* c, std::size_t ldc, int rows, int cols, bool relu);
+                  const std::ptrdiff_t* boff, const float* res,
+                  std::size_t ldres, float* c, std::size_t ldc, int rows,
+                  int cols, bool relu);
 
 /// Hooks registered by the ISA-specific translation units (null when the
 /// build excluded them).

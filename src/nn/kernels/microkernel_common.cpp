@@ -12,8 +12,9 @@ inline float relu1(float x) { return x > 0.0f ? x : 0.0f; }
 }  // namespace
 
 void tile_f32_ref(int K, const float* a, const float* bias, const float* b,
-                  std::size_t ldb, const float* res, std::size_t ldres,
-                  float* c, std::size_t ldc, int rows, int cols, bool relu) {
+                  const std::ptrdiff_t* boff, const float* res,
+                  std::size_t ldres, float* c, std::size_t ldc, int rows,
+                  int cols, bool relu) {
   for (int r = 0; r < rows; ++r) {
     for (int j = 0; j < cols; ++j) {
       // Accumulation starts from the bias and adds taps in packed-K order
@@ -23,7 +24,7 @@ void tile_f32_ref(int K, const float* a, const float* bias, const float* b,
       float acc = bias[r];
       for (int p = 0; p < K; ++p) {
         acc = std::fmaf(a[static_cast<std::size_t>(p) * kMr + r],
-                        b[static_cast<std::size_t>(p) * ldb + j], acc);
+                        b[boff[p] + j], acc);
       }
       if (res != nullptr) {
         acc += res[static_cast<std::size_t>(r) * ldres + j];
@@ -36,9 +37,10 @@ void tile_f32_ref(int K, const float* a, const float* bias, const float* b,
 namespace {
 
 void tile_f32_scalar(int K, const float* a, const float* bias, const float* b,
-                     std::size_t ldb, const float* res, std::size_t ldres,
-                     float* c, std::size_t ldc, int rows, bool relu) {
-  tile_f32_ref(K, a, bias, b, ldb, res, ldres, c, ldc, rows, kNr, relu);
+                     const std::ptrdiff_t* boff, const float* res,
+                     std::size_t ldres, float* c, std::size_t ldc, int rows,
+                     bool relu) {
+  tile_f32_ref(K, a, bias, b, boff, res, ldres, c, ldc, rows, kNr, relu);
 }
 
 constexpr KernelSet kScalarSet{Isa::kScalar, tile_f32_scalar};

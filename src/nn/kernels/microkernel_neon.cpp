@@ -28,14 +28,15 @@ inline float32x4_t relu4(float32x4_t v) {
 /// on the stack and the K loop round-trips through memory (the same
 /// pathology the AVX2 kernel hand-unrolls around).
 void tile_f32_neon(int K, const float* a, const float* bias, const float* b,
-                   std::size_t ldb, const float* res, std::size_t ldres,
-                   float* c, std::size_t ldc, int rows, bool relu) {
+                   const std::ptrdiff_t* boff, const float* res,
+                   std::size_t ldres, float* c, std::size_t ldc, int rows,
+                   bool relu) {
   float32x4_t acc[kMr][4];
   for (int r = 0; r < kMr; ++r) {
     for (int q = 0; q < 4; ++q) acc[r][q] = vdupq_n_f32(bias[r]);
   }
   for (int p = 0; p < K; ++p) {
-    const float* brow = b + static_cast<std::size_t>(p) * ldb;
+    const float* brow = b + boff[p];
     float32x4_t bq[4];
 #pragma GCC unroll 4
     for (int q = 0; q < 4; ++q) bq[q] = vld1q_f32(brow + 4 * q);

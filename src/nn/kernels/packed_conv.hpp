@@ -6,9 +6,8 @@
 namespace sfn::nn::kernels {
 
 /// One packed-conv invocation: geometry plus the raw CHW buffers. The
-/// driver owns chunking (im2col tiles sized to stay cache-resident) and
-/// tiling (kMr × kNr microkernel calls, portable reference on column
-/// tails).
+/// driver owns the row split, the zero-padded input slabs and the tiling
+/// (rows × kNr microkernel calls, portable reference on row tails).
 struct ConvArgs {
   int in_c = 0;
   int out_c = 0;
@@ -21,10 +20,13 @@ struct ConvArgs {
   float* out = nullptr;
 };
 
-/// Run the convolution with pre-packed weights. Parallelises over kNr-pixel
-/// strips with a static schedule and no cross-strip accumulation, so
-/// results are bit-identical for any OpenMP team size — the same
-/// determinism contract as the other conv paths (DESIGN.md §8, §13).
+/// Run the convolution with pre-packed weights in one OpenMP team: each
+/// thread copies a contiguous block of input rows plus a k/2 halo into its
+/// own zero-padded slab in `ws` and computes those output rows from it,
+/// with no cross-thread accumulation, so results are bit-identical for
+/// any team size — the same determinism contract as the other conv paths
+/// (DESIGN.md §8, §13). Nothing allocates once `ws` is warm for the shape
+/// and team width.
 void packed_conv_forward(const PackedConvWeights& pw, const ConvArgs& args,
                          Workspace& ws);
 

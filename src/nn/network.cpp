@@ -209,8 +209,7 @@ const Tensor& Network::forward_inference(const Tensor& input,
     cur = out;
     next = 1 - next;
   }
-  ws_bytes.set(static_cast<double>(
-      (ws.col_capacity() + ws.x0.numel() + ws.x1.numel()) * sizeof(float)));
+  ws_bytes.set(static_cast<double>(ws.bytes()));
   return *cur;
 }
 

@@ -4,7 +4,7 @@
 
 #include <atomic>
 
-namespace sfn::fluid {
+namespace sfn::util {
 
 /// Runs body(thread, team) once on every thread of an OpenMP team.
 ///
@@ -42,4 +42,4 @@ void for_rows(int n, const Body& body) {
   });
 }
 
-}  // namespace sfn::fluid
+}  // namespace sfn::util

@@ -1,10 +1,9 @@
-// Tests for the inference fast path: im2col layout, ConvAlgo dispatch,
-// batched evaluation, and workspace reuse (the steady-state inference loop
-// must not touch the heap).
+// Tests for the inference fast path: ConvAlgo dispatch, batched
+// evaluation, and workspace reuse (the steady-state inference loop must not
+// touch the heap, on one thread or a full team).
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/im2col.hpp"
 #include "nn/network.hpp"
 #include "nn/workspace.hpp"
 #include "util/rng.hpp"
@@ -73,54 +72,6 @@ void expect_close(const Tensor& a, const Tensor& b, double rel_tol) {
   }
 }
 
-TEST(ConvAlgoParity, Im2colUnfoldsCorrectly) {
-  const int c = 3, h = 5, w = 7, k = 3;
-  const Tensor input = random_tensor(Shape{c, h, w}, 77);
-  std::vector<float> col(static_cast<std::size_t>(c) * k * k * h * w);
-  nn::im2col(input.data().data(), c, h, w, k, col.data());
-
-  const int pad = k / 2;
-  const std::size_t n_pixels = static_cast<std::size_t>(h) * w;
-  for (int ic = 0; ic < c; ++ic) {
-    for (int ky = 0; ky < k; ++ky) {
-      for (int kx = 0; kx < k; ++kx) {
-        const std::size_t r = (static_cast<std::size_t>(ic) * k + ky) * k + kx;
-        for (int y = 0; y < h; ++y) {
-          for (int x = 0; x < w; ++x) {
-            const int sy = y + ky - pad;
-            const int sx = x + kx - pad;
-            const float expected =
-                (sy >= 0 && sy < h && sx >= 0 && sx < w)
-                    ? input.at(ic, sy, sx)
-                    : 0.0f;
-            const std::size_t n = static_cast<std::size_t>(y) * w + x;
-            ASSERT_EQ(expected, col[r * n_pixels + n])
-                << "r=" << r << " y=" << y << " x=" << x;
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(ConvAlgoParity, RangedIm2colMatchesFull) {
-  const int c = 2, h = 9, w = 11, k = 5;
-  const Tensor input = random_tensor(Shape{c, h, w}, 91);
-  const std::size_t rows = static_cast<std::size_t>(c) * k * k;
-  const std::size_t n_pixels = static_cast<std::size_t>(h) * w;
-  std::vector<float> full(rows * n_pixels);
-  nn::im2col(input.data().data(), c, h, w, k, full.data());
-
-  const std::size_t n0 = 13, n1 = 61;  // Deliberately crosses image rows.
-  std::vector<float> part(rows * (n1 - n0));
-  nn::im2col_range(input.data().data(), c, h, w, k, n0, n1, part.data());
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t n = n0; n < n1; ++n) {
-      ASSERT_EQ(full[r * n_pixels + n], part[r * (n1 - n0) + (n - n0)]);
-    }
-  }
-}
-
 TEST(ConvAlgoDispatch, OverrideForcesAlgorithm) {
   // The input shape alone picks the kernel.
   nn::Conv2D wide(16, 16, 3);
@@ -184,10 +135,12 @@ TEST(ForwardBatch, MatchesSequentialInference) {
 }
 
 TEST(WorkspaceReuse, SteadyStateInferenceIsAllocationFree) {
-  // Single OpenMP thread so runtime team bookkeeping cannot allocate
-  // behind our back; the property under test is our own kernel code.
+  // One pass on a single OpenMP thread, one on a four-thread team: each
+  // packed conv opens one team and every per-thread slab is sized before
+  // it opens, so a warm workspace serves either width without touching the
+  // heap. (libgomp's own team bookkeeping uses malloc, which this counter
+  // does not see; the property under test is our own kernel code.)
   const int old_threads = omp_get_max_threads();
-  omp_set_num_threads(1);
 
   // Packed fused conv+ReLU pairs, then a naive 1x1 projection.
   nn::Network net;
@@ -199,22 +152,26 @@ TEST(WorkspaceReuse, SteadyStateInferenceIsAllocationFree) {
   net.prepack_for_inference();
 
   const Tensor input = random_tensor(Shape{2, 48, 48}, 9);
-  nn::Workspace ws;
-  for (int warm = 0; warm < 3; ++warm) {
-    net.forward_inference(input, ws);
-  }
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " OpenMP threads");
+    omp_set_num_threads(threads);
+    nn::Workspace ws;
+    for (int warm = 0; warm < 3; ++warm) {
+      net.forward_inference(input, ws);
+    }
 
-  g_alloc_count.store(0);
-  g_count_allocs.store(true);
-  double checksum = 0.0;
-  for (int i = 0; i < 8; ++i) {
-    checksum += net.forward_inference(input, ws).sum();
-  }
-  g_count_allocs.store(false);
+    g_alloc_count.store(0);
+    g_count_allocs.store(true);
+    double checksum = 0.0;
+    for (int i = 0; i < 8; ++i) {
+      checksum += net.forward_inference(input, ws).sum();
+    }
+    g_count_allocs.store(false);
 
-  EXPECT_EQ(0u, g_alloc_count.load())
-      << "steady-state forward_inference touched the heap";
-  EXPECT_TRUE(std::isfinite(checksum));
+    EXPECT_EQ(0u, g_alloc_count.load())
+        << "steady-state forward_inference touched the heap";
+    EXPECT_TRUE(std::isfinite(checksum));
+  }
   omp_set_num_threads(old_threads);
 }
 

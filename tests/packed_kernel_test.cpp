@@ -1,17 +1,22 @@
 // Tests for the SIMD microkernel layer (nn/kernels, DESIGN.md §13):
-// packed-vs-naive parity, scalar-vs-SIMD bit-exactness, fused-ReLU
-// epilogues (in the kernels and across a whole network), build-once packs
-// (prepacked ≡ workspace-packed, dropped on weight mutation, never rebuilt
-// by inference), and the zero-allocation steady state.
+// packed-vs-naive parity, scalar-vs-SIMD bit-exactness, byte equality with
+// the original im2col driver at every team size (tests/
+// packed_conv_reference.hpp), fused-ReLU epilogues (in the kernels and
+// across a whole network), build-once packs (prepacked ≡ workspace-packed,
+// dropped on weight mutation, never rebuilt by inference), and the
+// zero-allocation steady state on one thread and on a full team.
 
 #include "core/offline.hpp"
 #include "modelgen/arch_spec.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/kernels/isa.hpp"
+#include "nn/kernels/pack.hpp"
+#include "nn/kernels/packed_conv.hpp"
 #include "nn/network.hpp"
 #include "nn/workspace.hpp"
 #include "obs/metrics.hpp"
+#include "packed_conv_reference.hpp"
 #include "util/rng.hpp"
 #include "workload/problems.hpp"
 
@@ -23,7 +28,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <new>
+#include <vector>
 
 // ---------------------------------------------------------------------------
 // Armed allocation counter (same scheme as conv_algo_test.cpp).
@@ -98,8 +106,8 @@ struct ConvCase {
 
 // Shapes chosen to exercise every microkernel edge: partial panels
 // (out_c % 6 != 0, down to the 1-3 row panels of every model's final
-// projection), partial strips (pixels % 16 != 0), 1x1 convs (B taken
-// straight from the input), the im2col chunking boundary, and residuals.
+// projection), row tails (w % 16 != 0), 1x1 convs (a slab without halo),
+// grids taller than one slab band, and residuals.
 const ConvCase kCases[] = {
     {1, 1, 1, 8, 8, false},    {2, 8, 3, 16, 16, false},
     {8, 8, 3, 19, 23, true},   {16, 16, 3, 32, 32, false},
@@ -154,6 +162,145 @@ TEST(PackedKernel, ScalarAndSimdAreBitIdentical) {
 
     expect_bit_identical(scalar, simd);
   }
+}
+
+// Edge shapes beyond kCases for the team-size sweep: rows narrower than a
+// strip, row tails on grids with fewer rows than threads, single rows,
+// 5x5 kernels whose halo is as wide as the grid, and 1x1 convs.
+const ConvCase kEdgeCases[] = {
+    {3, 7, 3, 20, 9, false}, {8, 8, 3, 5, 15, false},  // w < kNr
+    {8, 8, 3, 2, 37, false}, {4, 5, 3, 3, 21, false},  // h < team, w % kNr
+    {8, 8, 3, 1, 40, false}, {2, 3, 3, 1, 7, false},   // h = 1
+    {4, 6, 5, 4, 4, false},  {3, 3, 5, 3, 2, false},   // k = 5 on ≤ 4²
+    {6, 6, 1, 5, 19, false}, {16, 1, 1, 7, 33, false}, // k = 1
+};
+
+/// The conv's weights, packed the way its packed path packs them.
+nn::kernels::PackedConvWeights pack_of(nn::Conv2D& conv) {
+  const auto params = conv.params();
+  nn::kernels::PackedConvWeights pw;
+  nn::kernels::pack_conv_weights(
+      params[0].values.data(), params[1].values.data(), conv.out_channels(),
+      conv.in_channels() * conv.kernel() * conv.kernel(), &pw);
+  return pw;
+}
+
+std::vector<nn::kernels::Isa> isas_under_test() {
+  std::vector<nn::kernels::Isa> isas = {nn::kernels::Isa::kScalar};
+  if (nn::kernels::detected_isa() != nn::kernels::Isa::kScalar) {
+    isas.push_back(nn::kernels::detected_isa());
+  }
+  return isas;
+}
+
+TEST(PackedKernel, MatchesReferenceAtEveryTeamSize) {
+  // The slab driver must give the original im2col driver's bytes for every
+  // shape, epilogue, team size and ISA: the same fma chain per output
+  // element over the same B values, the same +0.0f halo, and no
+  // cross-thread accumulation. Each call gets a fresh workspace, so an
+  // undersized slab reads past its allocation instead of into a larger
+  // buffer a previous shape left behind.
+  const int old_threads = omp_get_max_threads();
+  std::vector<ConvCase> cases(std::begin(kCases), std::end(kCases));
+  cases.insert(cases.end(), std::begin(kEdgeCases), std::end(kEdgeCases));
+  std::vector<float> col;
+  for (const auto& c : cases) {
+    for (const bool residual : {false, true}) {
+      if (residual && c.in_c != c.out_c) continue;
+      nn::Conv2D conv(c.in_c, c.out_c, c.k, residual);
+      const nn::kernels::PackedConvWeights pw = pack_of(conv);
+      const Tensor input = random_tensor(
+          Shape{c.in_c, c.h, c.w},
+          0x7ea5ull ^ (static_cast<std::uint64_t>(c.h) << 16) ^ c.w);
+      for (const bool relu : {false, true}) {
+        nn::kernels::ConvArgs args;
+        args.in_c = c.in_c;
+        args.out_c = c.out_c;
+        args.k = c.k;
+        args.h = c.h;
+        args.w = c.w;
+        args.residual = residual;
+        args.relu = relu;
+        args.in = input.data().data();
+        Tensor expected(Shape{c.out_c, c.h, c.w});
+        args.out = expected.data().data();
+        test::reference_packed_conv_forward(pw, args, col);
+        for (const nn::kernels::Isa isa : isas_under_test()) {
+          nn::kernels::set_isa_override(isa);
+          for (const int team : {1, 2, 3, 4, 8}) {
+            SCOPED_TRACE(testing::Message()
+                         << "in_c=" << c.in_c << " out_c=" << c.out_c
+                         << " k=" << c.k << " h=" << c.h << " w=" << c.w
+                         << " res=" << residual << " relu=" << relu
+                         << " isa=" << nn::kernels::isa_name(isa)
+                         << " team=" << team);
+            omp_set_num_threads(team);
+            // NaN marks every element the driver fails to write.
+            Tensor out(Shape{c.out_c, c.h, c.w},
+                       std::numeric_limits<float>::quiet_NaN());
+            args.out = out.data().data();
+            nn::Workspace ws;
+            nn::kernels::packed_conv_forward(pw, args, ws);
+            expect_same_bytes(expected, out);
+          }
+        }
+        nn::kernels::reset_isa_override();
+      }
+    }
+  }
+  omp_set_num_threads(old_threads);
+}
+
+/// Oracle forward pass: each conv runs the original driver on its packed
+/// weights, with a following ReLU folded in as forward_inference folds it.
+Tensor reference_forward(nn::Network& net, const Tensor& input) {
+  Tensor cur = input;
+  std::vector<float> col;
+  for (std::size_t li = 0; li < net.depth(); ++li) {
+    auto& conv = dynamic_cast<nn::Conv2D&>(net.layer(li));
+    const bool relu = li + 1 < net.depth() &&
+                      dynamic_cast<nn::ReLU*>(&net.layer(li + 1)) != nullptr;
+    const nn::kernels::PackedConvWeights pw = pack_of(conv);
+    const Shape shape = cur.shape();
+    nn::kernels::ConvArgs args;
+    args.in_c = shape.c;
+    args.out_c = conv.out_channels();
+    args.k = conv.kernel();
+    args.h = shape.h;
+    args.w = shape.w;
+    args.residual = conv.residual();
+    args.relu = relu;
+    args.in = cur.data().data();
+    Tensor next(conv.output_shape(shape));
+    args.out = next.data().data();
+    test::reference_packed_conv_forward(pw, args, col);
+    cur = std::move(next);
+    if (relu) ++li;
+  }
+  return cur;
+}
+
+TEST(PackedKernel, TompsonForwardMatchesReferenceAtTeamsOneAndFour) {
+  // The most accurate ladder model at the served (48²) and solo (128²)
+  // grids, prepacked as served: every layer runs the packed kernel, and
+  // the whole forward pass gives the original driver's bytes on one
+  // thread and on a four-thread team.
+  const int old_threads = omp_get_max_threads();
+  util::Rng rng(0x7035);
+  nn::Network net = modelgen::build_network(modelgen::tompson_spec(8), rng);
+  const nn::Network prepacked = net;
+  prepacked.prepack_for_inference();
+  for (const int n : {48, 128}) {
+    const Tensor input = random_tensor(Shape{2, n, n}, 0x1280ull + n);
+    const Tensor expected = reference_forward(net, input);
+    for (const int team : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "grid=" << n << " team=" << team);
+      omp_set_num_threads(team);
+      nn::Workspace ws;
+      expect_same_bytes(expected, prepacked.forward_inference(input, ws));
+    }
+  }
+  omp_set_num_threads(old_threads);
 }
 
 TEST(PackedKernel, FusedReluMatchesSeparatePass) {
@@ -288,49 +435,58 @@ TEST(PackedKernel, WeightMutationInvalidatesPack) {
 
 TEST(PackedKernel, SteadyStatePackedInferenceIsAllocationFree) {
   const int old_threads = omp_get_max_threads();
-  omp_set_num_threads(1);
 
   // Every conv here runs the packed kernel, down to the one-row panel of
   // the final projection; WorkspaceReuse covers the mixed packed/naive net.
-  nn::Network net;
-  net.emplace<nn::Conv2D>(2, 8, 3);
-  net.emplace<nn::ReLU>();
-  net.emplace<nn::Conv2D>(8, 8, 3, /*residual=*/true);
-  net.emplace<nn::ReLU>();
-  net.emplace<nn::Conv2D>(8, 1, 3);
+  const auto make_net = [] {
+    nn::Network net;
+    net.emplace<nn::Conv2D>(2, 8, 3);
+    net.emplace<nn::ReLU>();
+    net.emplace<nn::Conv2D>(8, 8, 3, /*residual=*/true);
+    net.emplace<nn::ReLU>();
+    net.emplace<nn::Conv2D>(8, 1, 3);
+    return net;
+  };
 
   const Tensor input = random_tensor(Shape{2, 48, 48}, 0xa110c);
   obs::Counter& packed_calls = obs::counter("nn.conv.packed_calls");
   obs::Counter& pack_calls = obs::counter("nn.pack_calls");
-  // First without packs (each conv repacks into the workspace's slot),
-  // then prepacked (each conv reads its own pack): neither touches the
-  // heap once the workspace is warm.
-  for (const bool prepacked : {false, true}) {
-    SCOPED_TRACE(prepacked ? "prepacked" : "workspace-packed");
-    if (prepacked) {
-      net.prepack_for_inference();
-    }
-    nn::Workspace ws;
-    for (int warm = 0; warm < 3; ++warm) {
-      net.forward_inference(input, ws);
-    }
+  // On one thread and on a four-thread team (every slab is sized before
+  // the conv's team opens), first without packs (each conv repacks into
+  // the workspace's slot), then prepacked (each conv reads its own pack):
+  // none of them touches the heap once the workspace is warm.
+  for (const int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    nn::Network net = make_net();
+    for (const bool prepacked : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << threads << " OpenMP threads, "
+                   << (prepacked ? "prepacked" : "workspace-packed"));
+      if (prepacked) {
+        net.prepack_for_inference();
+      }
+      nn::Workspace ws;
+      for (int warm = 0; warm < 3; ++warm) {
+        net.forward_inference(input, ws);
+      }
 
-    const std::uint64_t packed_before = packed_calls.value();
-    const std::uint64_t packs_before = pack_calls.value();
-    g_alloc_count.store(0);
-    g_count_allocs.store(true);
-    double checksum = 0.0;
-    for (int i = 0; i < 8; ++i) {
-      checksum += net.forward_inference(input, ws).sum();
-    }
-    g_count_allocs.store(false);
+      const std::uint64_t packed_before = packed_calls.value();
+      const std::uint64_t packs_before = pack_calls.value();
+      g_alloc_count.store(0);
+      g_count_allocs.store(true);
+      double checksum = 0.0;
+      for (int i = 0; i < 8; ++i) {
+        checksum += net.forward_inference(input, ws).sum();
+      }
+      g_count_allocs.store(false);
 
-    EXPECT_EQ(packed_calls.value() - packed_before, 8u * 3u)
-        << "a conv left the packed kernel";
-    EXPECT_EQ(pack_calls.value() - packs_before, prepacked ? 0u : 8u * 3u);
-    EXPECT_EQ(0u, g_alloc_count.load())
-        << "steady-state packed inference touched the heap";
-    EXPECT_TRUE(std::isfinite(checksum));
+      EXPECT_EQ(packed_calls.value() - packed_before, 8u * 3u)
+          << "a conv left the packed kernel";
+      EXPECT_EQ(pack_calls.value() - packs_before, prepacked ? 0u : 8u * 3u);
+      EXPECT_EQ(0u, g_alloc_count.load())
+          << "steady-state packed inference touched the heap";
+      EXPECT_TRUE(std::isfinite(checksum));
+    }
   }
   omp_set_num_threads(old_threads);
 }

@@ -11,12 +11,14 @@
 #include "fluid/advection.hpp"
 #include "fluid/operators.hpp"
 #include "fluid/pcg.hpp"
+#include "fluid/smoke_sim.hpp"
 #include "modelgen/arch_spec.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/kernels/isa.hpp"
 #include "nn/workspace.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "workload/problems.hpp"
 
 #include <benchmark/benchmark.h>
 #include <omp.h>
@@ -27,6 +29,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -249,22 +252,41 @@ BENCHMARK(BM_DivNorm)->Arg(64)->Arg(128);
 // run, and mirrors the algo × grid × GFLOP/s table into BENCH_kernels.json
 // with the detected ISA recorded as provenance.
 
-/// Median-of-repeats seconds per call; each repeat batches enough calls to
-/// clear timer noise.
-double time_kernel(const std::function<void()>& fn) {
+/// Seconds per call: the median of five timings, each a batch of enough
+/// calls to clear timer noise, taken after the kernel has run for
+/// `settle_seconds` (and at least once, to warm caches, workspace and
+/// pack). On a shared VM a team whose threads have just started, or whose
+/// cores another tenant holds, can run at a small fraction of speed for a
+/// second or more (48² forwards of 140–780 ms instead of 0.1–0.6 ms), so
+/// team-wide rows settle longer than single-thread ones.
+double time_kernel(const std::function<void()>& fn,
+                   double settle_seconds = 0.25) {
   using clock = std::chrono::steady_clock;
-  fn();  // Warm caches, workspace, pack.
+  const auto seconds_since = [](clock::time_point t0) {
+    return std::chrono::duration<double>(clock::now() - t0).count();
+  };
+  const auto settle_start = clock::now();
+  do {
+    fn();
+  } while (seconds_since(settle_start) < settle_seconds);
   int batch = 1;
   for (;;) {
     const auto t0 = clock::now();
     for (int i = 0; i < batch; ++i) fn();
-    const double elapsed = std::chrono::duration<double>(clock::now() - t0)
-                               .count();
-    if (elapsed > 0.025) {
-      return elapsed / batch;
+    if (seconds_since(t0) > 0.025) {
+      break;
     }
     batch *= 2;
   }
+  constexpr int kRepeats = 5;
+  double per_call[kRepeats];
+  for (double& sec : per_call) {
+    const auto t0 = clock::now();
+    for (int i = 0; i < batch; ++i) fn();
+    sec = seconds_since(t0) / batch;
+  }
+  std::sort(per_call, per_call + kRepeats);
+  return per_call[kRepeats / 2];
 }
 
 struct SweepRow {
@@ -315,43 +337,93 @@ std::vector<SweepRow> run_conv_sweep() {
   return rows;
 }
 
-/// Whole-network rows: a prepacked tompson(8) forward_inference on the
-/// served (48²) and solo (128²) grids, on one thread and on the default
-/// team, so the conv's team scaling shows beside its single-thread rate.
-/// Each width runs for a second before it is timed and reports the best
-/// of five timings: on a shared VM, a team whose threads have just
-/// started, or whose cores another tenant holds, can run at a small
-/// fraction of speed for a second or more (48² calls of 140–780 ms
-/// instead of 0.1–0.6 ms), which time_kernel's one warm-up call would
-/// time.
-util::Table network_forward_table() {
-  using clock = std::chrono::steady_clock;
-  util::Rng rng(7);
-  const auto net = modelgen::build_network(modelgen::tompson_spec(8), rng);
-  net.prepack_for_inference();
+/// The default team and, when it is wider, one thread.
+std::vector<int> team_widths() {
   const int team = omp_get_max_threads();
   std::vector<int> widths = {1};
   if (team > 1) {
     widths.push_back(team);
   }
+  return widths;
+}
+
+/// Whole-network rows: a prepacked tompson(8) forward_inference on the
+/// served (48²) and solo (128²) grids, on one thread and on the default
+/// team, so the conv's team scaling shows beside its single-thread rate.
+util::Table network_forward_table() {
+  util::Rng rng(7);
+  const auto net = modelgen::build_network(modelgen::tompson_spec(8), rng);
+  net.prepack_for_inference();
+  const int team = omp_get_max_threads();
   util::Table table({"model", "grid", "threads", "ms_per_forward", "gflops"});
   for (const int n : {48, 128}) {
     const nn::Tensor input = random_input(2, n, 13);
     const double flops = static_cast<double>(net.flops(input.shape()));
-    for (const int threads : widths) {
+    for (const int threads : team_widths()) {
       omp_set_num_threads(threads);
       nn::Workspace ws;
-      const auto forward = [&] { net.forward_inference(input, ws); };
-      const auto settled = clock::now() + std::chrono::seconds(1);
-      while (clock::now() < settled) {
-        forward();
-      }
-      double sec = time_kernel(forward);
-      for (int repeat = 1; repeat < 5; ++repeat) {
-        sec = std::min(sec, time_kernel(forward));
-      }
+      const double sec =
+          time_kernel([&] { net.forward_inference(input, ws); }, 1.0);
       table.add_row({"tompson8", std::to_string(n), std::to_string(threads),
                      util::fmt(sec * 1e3, 4), util::fmt(flops / sec / 1e9, 3)});
+    }
+  }
+  omp_set_num_threads(team);
+  return table;
+}
+
+/// A "solver" that copies one fixed pressure field, so a step spends its
+/// time on the passes around the solve alone.
+class FixedPressure final : public fluid::PoissonSolver {
+ public:
+  explicit FixedPressure(fluid::GridF pressure)
+      : pressure_(std::move(pressure)) {}
+  fluid::SolveStats solve(const fluid::FlagGrid&, const fluid::GridF&,
+                          fluid::GridF* pressure) override {
+    *pressure = pressure_;
+    return {};
+  }
+  [[nodiscard]] std::string name() const override { return "fixed"; }
+  [[nodiscard]] const fluid::GridF& pressure() const { return pressure_; }
+
+ private:
+  fluid::GridF pressure_;
+};
+
+/// Non-solve step rows: a warm SmokeSim::step of a plume (advection,
+/// forces, pins, projection rhs, gradient and clamp, DivNorm) whose
+/// solver copies the pressure of an exact solve of the same state, on the
+/// served (48²) and solo (128²) grids, on one thread and on the default
+/// team. Each call first restores that state (the copy is timed too), so
+/// every call advects the same flow: left to run on, the fixed pressure
+/// stops projecting and the clamped velocities change the work.
+util::Table step_nonsolve_table() {
+  const int team = omp_get_max_threads();
+  util::Table table({"pass", "grid", "threads", "ms_per_step"});
+  for (const int n : {48, 128}) {
+    workload::ProblemSetParams params;
+    params.grid = n;
+    const workload::InputProblem problem =
+        workload::generate_problems(1, params, 17).front();
+    for (const int threads : team_widths()) {
+      omp_set_num_threads(threads);
+      fluid::SmokeSim sim = workload::make_sim(problem);
+      fluid::PcgSolver pcg;
+      for (int step = 0; step < 8; ++step) {
+        sim.step(&pcg);
+      }
+      const fluid::GridF density = sim.density();
+      const fluid::MacGrid2 velocity = sim.velocity();
+      sim.step(&pcg);
+      FixedPressure fixed(sim.pressure());
+      const double sec = time_kernel(
+          [&] {
+            sim.restore_state(density, fixed.pressure(), velocity, 0.0, 8);
+            sim.step(&fixed);
+          },
+          1.0);
+      table.add_row({"step_nonsolve", std::to_string(n),
+                     std::to_string(threads), util::fmt(sec * 1e3, 4)});
     }
   }
   omp_set_num_threads(team);
@@ -391,6 +463,9 @@ void report_conv_sweep(const util::BenchConfig& cfg) {
   const util::Table network = network_forward_table();
   network.print("Prepacked tompson(8) forward_inference (whole network)");
 
+  const util::Table step = step_nonsolve_table();
+  step.print("SmokeSim::step around a fixed-pressure solver (non-solve work)");
+
   util::Table provenance({"detected_isa", "active_isa", "omp_max_threads"});
   provenance.add_row({nn::kernels::isa_name(nn::kernels::detected_isa()),
                       nn::kernels::isa_name(nn::kernels::active_isa()),
@@ -400,6 +475,7 @@ void report_conv_sweep(const util::BenchConfig& cfg) {
                     {{"conv_algos", &table},
                      {"speedup", &speedup},
                      {"network_forward", &network},
+                     {"step_nonsolve", &step},
                      {"provenance", &provenance}});
 }
 

@@ -82,12 +82,7 @@ int main(int argc, char** argv) {
     for (int s = 0; s < 8; ++s) {
       sim.step(&warmup);
     }
-    fluid::GridF rhs(grid, grid, 0.0f);
-    for (int j = 0; j < grid; ++j) {
-      for (int i = 0; i < grid; ++i) {
-        rhs(i, j) = -sim.last_divergence()(i, j);
-      }
-    }
+    const fluid::GridF& rhs = sim.last_rhs();
 
     util::Table table({"Solver", "Iterations", "Residual", "Time (ms)",
                        "MFLOP"});

@@ -1,10 +1,14 @@
 #include "core/neural_projection.hpp"
 
+#include "fluid/reduce.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
+#include "util/team.hpp"
 #include "util/timer.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 namespace sfn::core {
 
@@ -19,23 +23,27 @@ void encode_solver_input(const fluid::FlagGrid& flags, const fluid::GridF& rhs,
                          double* inv_scale, nn::Tensor* out) {
   const int nx = flags.nx();
   const int ny = flags.ny();
+  SFN_CHECK(rhs.nx() == nx && rhs.ny() == ny,
+            "encode_solver_input: rhs shape differs from the flag grid");
   out->resize(nn::Shape{2, ny, nx});
-  nn::Tensor& input = *out;
+  const fluid::CellType* cells = flags.cells();
+  const float* b = rhs.data().data();
+  const auto plane = static_cast<std::size_t>(nx) * ny;
 
   // RMS scale over fluid cells: robust to single-cell outliers (a max
   // scale lets one spike shrink the whole input out of the training
   // distribution). The factor 3 keeps typical magnitudes near the max
-  // normalisation the early prototypes used.
+  // normalisation the early prototypes used. The sum stays one serial
+  // row-major chain: its bits fix the training inputs, and through them
+  // every trained model.
   double sum_sq = 0.0;
   int fluid_cells = 0;
-  for (int j = 0; j < ny; ++j) {
-    for (int i = 0; i < nx; ++i) {
-      if (flags.is_fluid(i, j)) {
-        const double v = rhs(i, j);
-        if (std::isfinite(v)) {
-          sum_sq += v * v;
-          ++fluid_cells;
-        }
+  for (std::size_t k = 0; k < plane; ++k) {
+    if (cells[k] == fluid::CellType::kFluid) {
+      const double v = b[k];
+      if (std::isfinite(v)) {
+        sum_sq += v * v;
+        ++fluid_cells;
       }
     }
   }
@@ -45,17 +53,23 @@ void encode_solver_input(const fluid::FlagGrid& flags, const fluid::GridF& rhs,
   const auto inv = static_cast<float>(1.0 / s);
   *inv_scale = 1.0 / s;
 
-  for (int j = 0; j < ny; ++j) {
-    for (int i = 0; i < nx; ++i) {
-      const float r = rhs(i, j);
-      input.at(0, j, i) =
-          (flags.is_fluid(i, j) && std::isfinite(r)) ? r * inv : 0.0f;
+  // Channel 0 the scaled rhs, channel 1 the geometry: 0 solid (or
+  // inflow), 0.5 empty, 1 fluid.
+  float* scaled = out->data().data();
+  float* geometry = scaled + plane;
+  util::for_rows(ny, [&](int j) {
+    const auto base = static_cast<std::size_t>(j) * nx;
+    for (std::size_t k = base; k < base + nx; ++k) {
+      const float r = b[k];
+      scaled[k] = (cells[k] == fluid::CellType::kFluid && std::isfinite(r))
+                      ? r * inv
+                      : 0.0f;
       float geom = 1.0f;
-      if (flags.is_solid(i, j)) geom = 0.0f;
-      else if (flags.is_empty(i, j)) geom = 0.5f;
-      input.at(1, j, i) = geom;
+      if (fluid::is_solid_type(cells[k])) geom = 0.0f;
+      else if (cells[k] == fluid::CellType::kEmpty) geom = 0.5f;
+      geometry[k] = geom;
     }
-  }
+  });
 }
 
 NeuralProjection::NeuralProjection(nn::Network net, std::string name)
@@ -92,20 +106,34 @@ fluid::SolveStats NeuralProjection::solve(const fluid::FlagGrid& flags,
 
   const int nx = flags.nx();
   const int ny = flags.ny();
+  SFN_CHECK(pressure->nx() == nx && pressure->ny() == ny,
+            "NeuralProjection::solve: pressure shape differs from the flags");
+  SFN_CHECK(output.shape().c >= 1 && output.shape().h >= ny &&
+                output.shape().w >= nx,
+            "NeuralProjection::solve: network output smaller than the grid");
   const auto scale = static_cast<float>(1.0 / inv_scale);
-  int non_finite = 0;
-  for (int j = 0; j < ny; ++j) {
+  const fluid::CellType* cells = flags.cells();
+  const float* predicted = output.data().data();
+  const auto out_stride = static_cast<std::size_t>(output.shape().w);
+  float* p = pressure->data().data();
+  // Sanitise: a surrogate must never inject non-finite values into the
+  // simulation (downstream advection assumes finite velocities).
+  const auto& rows = fluid::row_partials<int>(ny, [&](int j, int* bad) {
+    const float* in = predicted + static_cast<std::size_t>(j) * out_stride;
+    const auto base = static_cast<std::size_t>(j) * nx;
     for (int i = 0; i < nx; ++i) {
-      // Sanitise: a surrogate must never inject non-finite values into
-      // the simulation (downstream advection assumes finite velocities).
-      const float v = output.at(0, j, i) * scale;
-      const bool fluid = flags.is_fluid(i, j);
+      const float v = in[i] * scale;
+      const bool fluid = cells[base + i] == fluid::CellType::kFluid;
       const bool finite = std::isfinite(v);
-      (*pressure)(i, j) = (fluid && finite) ? v : 0.0f;
+      p[base + i] = (fluid && finite) ? v : 0.0f;
       if (fluid && !finite) {
-        ++non_finite;
+        ++*bad;
       }
     }
+  });
+  int non_finite = 0;
+  for (const int bad : rows) {
+    non_finite += bad;
   }
   stats.non_finite = non_finite;
 

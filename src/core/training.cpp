@@ -24,12 +24,7 @@ std::vector<TrainingSample> collect_training_data(
       TrainingSample sample;
       sample.flags = sim.flags();
       sample.pressure = sim.pressure();
-      // The simulation stores the measured divergence; the solve's rhs is
-      // its negation.
-      sample.rhs = sim.last_divergence();
-      for (std::size_t k = 0; k < sample.rhs.size(); ++k) {
-        sample.rhs[k] = -sample.rhs[k];
-      }
+      sample.rhs = sim.last_rhs();
       samples.push_back(std::move(sample));
     }
   }

@@ -202,14 +202,13 @@ auto* row_of(Grid& grid, int j) {
 void hold_row(const FlagGrid& flags, const Field& f, int j, float* out) {
   const int nx = flags.nx();
   const int ny = flags.ny();
-  const CellType* cells = flags.raw().data().data();
+  const CellType* cells = flags.cells();
   // FlagGrid::is_solid on the flat cell array.
   const auto is_solid = [&](int i, int jj) {
     if (i < 0 || i >= nx || jj < 0 || jj >= ny) {
       return true;
     }
-    const CellType c = cells[static_cast<std::size_t>(jj) * nx + i];
-    return c == CellType::kSolid || c == CellType::kInflow;
+    return is_solid_type(cells[static_cast<std::size_t>(jj) * nx + i]);
   };
   const bool faces = f.di != 0 || f.dj != 0;
   const float* src = row_of(*f.src, j);

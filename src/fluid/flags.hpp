@@ -15,6 +15,13 @@ enum class CellType : std::uint8_t {
   kInflow = 3,  ///< Inlet: prescribed face velocity, Neumann pressure.
 };
 
+/// FlagGrid::is_solid for a cell inside the grid: the flat row passes test
+/// the cell bytes with this and treat positions outside the grid as solid
+/// themselves.
+[[nodiscard]] constexpr bool is_solid_type(CellType c) {
+  return c == CellType::kSolid || c == CellType::kInflow;
+}
+
 /// Grid of cell types with helpers for the standard smoke-box setup:
 /// solid walls left/right/bottom, open (empty) top row so the pressure
 /// Poisson system is non-singular.
@@ -40,8 +47,7 @@ class FlagGrid {
     // and gradient update is exactly the solid (Neumann) treatment — the
     // only difference is that their faces are re-pinned to the prescribed
     // velocity instead of zero (SmokeSim::pin_boundary_velocities).
-    return !cells_.inside(i, j) || cells_(i, j) == CellType::kSolid ||
-           cells_(i, j) == CellType::kInflow;
+    return !cells_.inside(i, j) || is_solid_type(cells_(i, j));
   }
   [[nodiscard]] bool is_empty(int i, int j) const {
     return cells_.inside(i, j) && cells_(i, j) == CellType::kEmpty;
@@ -57,6 +63,12 @@ class FlagGrid {
   [[nodiscard]] int count_fluid() const;
 
   [[nodiscard]] const Grid2<CellType>& raw() const { return cells_; }
+
+  /// The cell bytes, row-major, for the flat row passes (which check the
+  /// shapes of their other operands against this grid first).
+  [[nodiscard]] const CellType* cells() const {
+    return cells_.data().data();
+  }
 
   bool operator==(const FlagGrid&) const = default;
 

@@ -56,8 +56,17 @@ class MacGrid2 {
     return std::max(u_.max_abs(), v_.max_abs());
   }
 
+  /// True when this is the staggered field of `flags`' cell grid: u is
+  /// (nx + 1) x ny and v nx x (ny + 1). The flat row passes index the face
+  /// rows by these shapes, so each checks this once before it starts.
+  [[nodiscard]] bool fits(const FlagGrid& flags) const {
+    return nx_ == flags.nx() && ny_ == flags.ny() && u_.nx() == nx_ + 1 &&
+           u_.ny() == ny_ && v_.nx() == nx_ && v_.ny() == ny_ + 1;
+  }
+
   /// Zero the normal component of velocity on every face that touches a
   /// solid cell (static solids, so the enforced face velocity is zero).
+  /// One row pass over the u rows, then the v rows, on the OpenMP team.
   void enforce_solid_boundaries(const FlagGrid& flags);
 
   bool operator==(const MacGrid2&) const = default;

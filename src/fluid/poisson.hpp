@@ -41,7 +41,26 @@ class PoissonSolver {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Max-norm of the residual b - A p over fluid cells.
+/// What one sweep over a pressure solve's output measures (the health
+/// guard's whole per-step cost, runtime::FallbackPolicy).
+struct ResidualSweep {
+  /// Non-finite pressure cells, over every cell type.
+  int non_finite = 0;
+  /// Max-norm of b - A p over fluid cells; NaN terms drop out.
+  double residual = 0.0;
+  /// Max-norm of the finite b over fluid cells.
+  double rhs_max = 0.0;
+};
+
+/// One flat row pass on the OpenMP team gives all three results. Maxima
+/// and integer counts do not depend on the order rows are combined in, so
+/// they are the same bits for any team size. Throws util::CheckError when
+/// rhs or pressure differs in shape from the flags.
+ResidualSweep residual_sweep(const FlagGrid& flags, const GridF& rhs,
+                             const GridF& pressure);
+
+/// Max-norm of the residual b - A p over fluid cells
+/// (residual_sweep(...).residual).
 double poisson_residual(const FlagGrid& flags, const GridF& rhs,
                         const GridF& pressure);
 

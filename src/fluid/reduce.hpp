@@ -1,5 +1,7 @@
 #pragma once
 
+#include "util/team.hpp"
+
 #include <cstddef>
 #include <vector>
 
@@ -19,57 +21,66 @@ namespace sfn::fluid {
 /// each row's partial is accumulated sequentially left-to-right by whichever
 /// thread owns the row, and the per-row partials are then combined in
 /// ascending row order on the calling thread. The result is bit-identical
-/// for any thread count, including 1. Max-reductions do not need this
-/// treatment (IEEE max is order-independent); only +-reductions do.
+/// for any thread count, including 1. Max-reductions and integer counts do
+/// not need this treatment (they do not depend on the combination order);
+/// only floating-point +-reductions do, but they ride along in the same
+/// per-row partials to keep one grid pass.
 ///
-/// The partial buffers are thread_local so steady-state callers allocate
-/// only until the largest row count has been seen once on that thread.
-/// (PcgSolver keeps this order in its own fused passes, pcg.cpp.)
+/// The partial buffers are thread_local and sized on the calling thread
+/// before the team opens, so steady-state callers allocate only until the
+/// largest row count has been seen once on that thread, and never inside
+/// the region. (PcgSolver keeps this order in its own fused passes,
+/// pcg.cpp.)
+
+/// Runs row_fn(j, &partials[j]) for every j in [0, ny) over the team
+/// (util::for_rows), each partial starting value-initialised, and returns
+/// the partials in row order. The span stays valid until the next call
+/// with the same Partial type on this thread.
+template <typename Partial, typename RowFn>
+const std::vector<Partial>& row_partials(int ny, const RowFn& row_fn) {
+  static thread_local std::vector<Partial> partials;
+  partials.assign(static_cast<std::size_t>(ny), Partial{});
+  // Hoist the data pointer: inside the team the thread_local above would
+  // resolve to each *worker's* own (empty) vector.
+  Partial* const buffer = partials.data();
+  util::for_rows(ny, [&](int j) { row_fn(j, &buffer[j]); });
+  return partials;
+}
 
 /// Sum of row_sum(j) for j in [0, ny), accumulation order fixed.
 /// `row_sum` must itself be deterministic (sequential within the row).
 template <typename RowFn>
-double deterministic_row_sum(int ny, RowFn&& row_sum) {
-  static thread_local std::vector<double> partials;
-  partials.assign(static_cast<std::size_t>(ny), 0.0);
-  // Hoist the data pointer: inside the parallel region the thread_local
-  // above would resolve to each *worker's* own (empty) vector.
-  double* const buffer = partials.data();
-#pragma omp parallel for schedule(static)
-  for (int j = 0; j < ny; ++j) {
-    buffer[j] = row_sum(j);
-  }
+double deterministic_row_sum(int ny, const RowFn& row_sum) {
+  const auto& partials = row_partials<double>(
+      ny, [&](int j, double* partial) { *partial = row_sum(j); });
   double acc = 0.0;
-  for (int j = 0; j < ny; ++j) {
-    acc += buffer[j];
+  for (const double partial : partials) {
+    acc += partial;
   }
   return acc;
 }
 
 /// Variant for reductions that carry a sum and an element count (e.g. a
 /// mean over fluid cells). `row_fn(j, &sum, &count)` fills the row's
-/// partials; combination order is fixed as above. The count is exact
-/// integer arithmetic either way — it rides along to keep one grid pass.
+/// partials, which start at zero; combination order is fixed as above.
+/// The count is exact integer arithmetic either way — it rides along to
+/// keep one grid pass.
 template <typename RowFn>
-void deterministic_row_sum_count(int ny, RowFn&& row_fn, double* sum,
+void deterministic_row_sum_count(int ny, const RowFn& row_fn, double* sum,
                                  long long* count) {
-  static thread_local std::vector<double> partial_sums;
-  static thread_local std::vector<long long> partial_counts;
-  partial_sums.assign(static_cast<std::size_t>(ny), 0.0);
-  partial_counts.assign(static_cast<std::size_t>(ny), 0);
-  // Hoisted for the same reason as in deterministic_row_sum: thread_local
-  // names must not be evaluated inside the parallel region.
-  double* const sums = partial_sums.data();
-  long long* const counts = partial_counts.data();
-#pragma omp parallel for schedule(static)
-  for (int j = 0; j < ny; ++j) {
-    row_fn(j, &sums[j], &counts[j]);
-  }
+  struct SumCount {
+    double sum;
+    long long count;
+  };
+  const auto& partials = row_partials<SumCount>(
+      ny, [&](int j, SumCount* partial) {
+        row_fn(j, &partial->sum, &partial->count);
+      });
   *sum = 0.0;
   *count = 0;
-  for (int j = 0; j < ny; ++j) {
-    *sum += sums[j];
-    *count += counts[j];
+  for (const SumCount& partial : partials) {
+    *sum += partial.sum;
+    *count += partial.count;
   }
 }
 

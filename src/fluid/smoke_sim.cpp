@@ -3,10 +3,12 @@
 #include "fluid/operators.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/check.hpp"
 #include "util/team.hpp"
 #include "util/timer.hpp"
 
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
 
 namespace sfn::fluid {
@@ -19,7 +21,6 @@ SmokeSim::SmokeSim(SmokeParams params, FlagGrid flags, SceneSpec scene)
       solid_distance_(solid_distance_field(flags_)),
       density_(flags_.nx(), flags_.ny(), 0.0f),
       pressure_(flags_.nx(), flags_.ny(), 0.0f),
-      divergence_(flags_.nx(), flags_.ny(), 0.0f),
       rhs_(flags_.nx(), flags_.ny(), 0.0f),
       vel_(flags_.nx(), flags_.ny()),
       vel_scratch_(flags_.nx(), flags_.ny()),
@@ -79,18 +80,29 @@ void SmokeSim::pin_boundary_velocities() {
   const int nx = flags_.nx();
   const int ny = flags_.ny();
   const double dx = 1.0 / nx;
-
+  // flags_ is base_flags_ plus the moving obstacles, so the two share a
+  // shape, and enforce_solid_boundaries above checked the velocity's.
+  const CellType* cells = flags_.cells();
+  const CellType* base = base_flags_.cells();
+  const auto inside = [nx, ny](int i, int j) {
+    return i >= 0 && i < nx && j >= 0 && j < ny;
+  };
+  const auto at = [nx](const CellType* grid, int i, int j) {
+    return grid[static_cast<std::size_t>(j) * nx + i];
+  };
+  // FlagGrid::is_solid: cells outside the grid count as solid.
+  const auto is_solid = [&](int i, int j) {
+    return !inside(i, j) || is_solid_type(at(cells, i, j));
+  };
   // A static wall face stays zero no matter what overlaps it. The test
   // deliberately bypasses is_solid(): border inflow cells must not count
   // as walls.
-  const auto is_wall = [this](int i, int j) {
-    return !flags_.raw().inside(i, j) ||
-           base_flags_.at(i, j) == CellType::kSolid;
+  const auto is_wall = [&](int i, int j) {
+    return !inside(i, j) || at(base, i, j) == CellType::kSolid;
   };
-  const auto is_moving_solid = [this](int i, int j) {
-    return flags_.raw().inside(i, j) &&
-           flags_.at(i, j) == CellType::kSolid &&
-           base_flags_.at(i, j) != CellType::kSolid;
+  const auto is_moving_solid = [&](int i, int j) {
+    return inside(i, j) && at(cells, i, j) == CellType::kSolid &&
+           at(base, i, j) != CellType::kSolid;
   };
   // The posed obstacle that rasterised cell (i, j) this step; cell-centre
   // containment mirrors rasterize_obstacles exactly.
@@ -104,74 +116,63 @@ void SmokeSim::pin_boundary_velocities() {
     }
     return nullptr;
   };
-  const auto inflow_at = [this, dx](int i, int j) -> const InflowRegion* {
-    if (!flags_.is_inflow(i, j)) {
+  const auto inflow_at = [&](int i, int j) -> const InflowRegion* {
+    if (!inside(i, j) || at(cells, i, j) != CellType::kInflow) {
       return nullptr;
     }
     return inflow_region_at(scene_.inflows, i, j, dx);
   };
+  // Re-pins the face between cells a and b at world (fx, fy) to its x
+  // (u faces) or y (v faces) velocity. Precedence per face: wall >
+  // moving solid > inflow. enforce_solid_boundaries above already zeroed
+  // every face that touches a solid, so untouched faces are the
+  // zero-velocity walls.
+  const auto pin = [&](int ai, int aj, int bi, int bj, double fx, double fy,
+                       bool x_component, float* face) {
+    if (!is_solid(ai, aj) && !is_solid(bi, bj)) {
+      return;  // Interior face.
+    }
+    if (is_wall(ai, aj) || is_wall(bi, bj)) {
+      return;
+    }
+    if (is_moving_solid(ai, aj) || is_moving_solid(bi, bj)) {
+      const Obstacle* ob =
+          is_moving_solid(ai, aj) ? owner(ai, aj) : owner(bi, bj);
+      if (ob != nullptr) {
+        const auto [ux, vy] = ob->velocity_at(fx, fy);
+        *face = static_cast<float>(x_component ? ux : vy);
+      }
+      return;
+    }
+    const InflowRegion* region = inflow_at(ai, aj);
+    if (region == nullptr) {
+      region = inflow_at(bi, bj);
+    }
+    if (region != nullptr) {
+      *face = static_cast<float>(x_component ? region->u : region->v);
+    }
+  };
 
   // u face (i, j) sits between cells (i-1, j) and (i, j) at world
   // (i*dx, (j+0.5)*dx); v face (i, j) between (i, j-1) and (i, j) at
-  // ((i+0.5)*dx, j*dx). Precedence per face: wall > moving solid >
-  // inflow. enforce_solid_boundaries above already zeroed every face
-  // this loop looks at, so untouched faces are the zero-velocity walls.
-  for (int j = 0; j < ny; ++j) {
-    for (int i = 0; i <= nx; ++i) {
-      const int ai = i - 1;
-      if (!flags_.is_solid(ai, j) && !flags_.is_solid(i, j)) {
-        continue;  // Interior face.
+  // ((i+0.5)*dx, j*dx). Rows [0, ny) are u rows, [ny, 2 ny] v rows.
+  float* u = vel_.u().data().data();
+  float* v = vel_.v().data().data();
+  util::for_rows(ny + ny + 1, [&](int r) {
+    if (r < ny) {
+      const int j = r;
+      float* row = u + static_cast<std::size_t>(j) * (nx + 1);
+      for (int i = 0; i <= nx; ++i) {
+        pin(i - 1, j, i, j, i * dx, (j + 0.5) * dx, true, &row[i]);
       }
-      if (is_wall(ai, j) || is_wall(i, j)) {
-        continue;
-      }
-      const double fx = i * dx;
-      const double fy = (j + 0.5) * dx;
-      if (is_moving_solid(ai, j) || is_moving_solid(i, j)) {
-        const Obstacle* ob = is_moving_solid(ai, j) ? owner(ai, j)
-                                                    : owner(i, j);
-        if (ob != nullptr) {
-          vel_.u()(i, j) = static_cast<float>(ob->velocity_at(fx, fy).first);
-        }
-        continue;
-      }
-      const InflowRegion* region = inflow_at(ai, j);
-      if (region == nullptr) {
-        region = inflow_at(i, j);
-      }
-      if (region != nullptr) {
-        vel_.u()(i, j) = static_cast<float>(region->u);
-      }
+      return;
     }
-  }
-  for (int j = 0; j <= ny; ++j) {
+    const int j = r - ny;
+    float* row = v + static_cast<std::size_t>(j) * nx;
     for (int i = 0; i < nx; ++i) {
-      const int aj = j - 1;
-      if (!flags_.is_solid(i, aj) && !flags_.is_solid(i, j)) {
-        continue;
-      }
-      if (is_wall(i, aj) || is_wall(i, j)) {
-        continue;
-      }
-      const double fx = (i + 0.5) * dx;
-      const double fy = j * dx;
-      if (is_moving_solid(i, aj) || is_moving_solid(i, j)) {
-        const Obstacle* ob = is_moving_solid(i, aj) ? owner(i, aj)
-                                                    : owner(i, j);
-        if (ob != nullptr) {
-          vel_.v()(i, j) = static_cast<float>(ob->velocity_at(fx, fy).second);
-        }
-        continue;
-      }
-      const InflowRegion* region = inflow_at(i, aj);
-      if (region == nullptr) {
-        region = inflow_at(i, j);
-      }
-      if (region != nullptr) {
-        vel_.v()(i, j) = static_cast<float>(region->v);
-      }
+      pin(i, j - 1, i, j, (i + 0.5) * dx, j * dx, false, &row[i]);
     }
-  }
+  });
 }
 
 void SmokeSim::apply_sources() {
@@ -247,6 +248,29 @@ GridF SmokeSim::vorticity() const {
     }
   }
   return w;
+}
+
+void SmokeSim::add_buoyancy() {
+  const int nx = flags_.nx();
+  const int ny = flags_.ny();
+  SFN_CHECK(density_.nx() == nx && density_.ny() == ny && vel_.fits(flags_),
+            "SmokeSim: density/velocity shape differs from the flag grid");
+  const float buoy = static_cast<float>(params_.buoyancy * params_.dt);
+  const CellType* cells = flags_.cells();
+  const float* density = density_.data().data();
+  float* v = vel_.v().data().data();
+  // v face (i, j), 0 < j < ny, between cells (i, j-1) and (i, j).
+  util::for_rows(ny - 1, [&](int r) {
+    const auto above = static_cast<std::size_t>(r + 1) * nx;
+    const auto below = above - nx;
+    for (int i = 0; i < nx; ++i) {
+      if (cells[below + i] == CellType::kFluid &&
+          cells[above + i] == CellType::kFluid) {
+        v[above + i] +=
+            buoy * 0.5f * (density[below + i] + density[above + i]);
+      }
+    }
+  });
 }
 
 void SmokeSim::add_vorticity_confinement() {
@@ -329,8 +353,6 @@ StepTelemetry SmokeSim::step(PoissonSolver* solver, StepGuard* guard) {
   SFN_TRACE_SCOPE("sim.step");
   const util::Timer timer;
   StepTelemetry out;
-  const int nx = flags_.nx();
-  const int ny = flags_.ny();
 
   if (!scene_.moving_obstacles.empty()) {
     // Rigid-body obstacles move before the step: rasterise their pose at
@@ -357,21 +379,10 @@ StepTelemetry SmokeSim::step(PoissonSolver* solver, StepGuard* guard) {
     // vorticity confinement, sources, and solid-face pinning before
     // measuring div.
     SFN_TRACE_SCOPE("sim.forces");
-    const float buoy = static_cast<float>(params_.buoyancy * params_.dt);
-#pragma omp parallel for schedule(static)
-    for (int j = 1; j < ny; ++j) {
-      for (int i = 0; i < nx; ++i) {
-        if (flags_.is_fluid(i, j - 1) && flags_.is_fluid(i, j)) {
-          vel_.v()(i, j) +=
-              buoy * 0.5f * (density_(i, j - 1) + density_(i, j));
-        }
-      }
-    }
-
+    add_buoyancy();
     if (params_.vorticity_confinement > 0.0) {
       add_vorticity_confinement();
     }
-
     apply_sources();
     pin_boundary_velocities();
   }
@@ -379,13 +390,7 @@ StepTelemetry SmokeSim::step(PoissonSolver* solver, StepGuard* guard) {
   {
     // 4. Pressure projection (lines 6-18): solve A p = -div(u*).
     SFN_TRACE_SCOPE("sim.project");
-    divergence(vel_, flags_, &divergence_);
-#pragma omp parallel for schedule(static)
-    for (int j = 0; j < ny; ++j) {
-      for (int i = 0; i < nx; ++i) {
-        rhs_(i, j) = -divergence_(i, j);
-      }
-    }
+    negated_divergence(vel_, flags_, &rhs_);
     if (!params_.warm_start_pressure) {
       pressure_.fill(0.0f);  // Algorithm 1 line 9: initial guess p = 0.
     }
@@ -396,24 +401,15 @@ StepTelemetry SmokeSim::step(PoissonSolver* solver, StepGuard* guard) {
       // exact solve instead of contaminating the rollout.
       out.guard = guard->inspect(flags_, rhs_, &pressure_, out.solve);
     }
-    subtract_pressure_gradient(pressure_, flags_, &vel_);
-    pin_boundary_velocities();
-
-    // Safety clamp: approximate pressure solves can feed energy back into
-    // the velocity field; keep components finite and bounded so telemetry
-    // and quality metrics stay well-defined.
-    const auto vmax = static_cast<float>(params_.max_velocity);
-    auto clamp_grid = [vmax](GridF& g) {
-      for (std::size_t k = 0; k < g.size(); ++k) {
-        float v = g[k];
-        if (!std::isfinite(v)) {
-          v = 0.0f;
-        }
-        g[k] = std::clamp(v, -vmax, vmax);
-      }
-    };
-    clamp_grid(vel_.u());
-    clamp_grid(vel_.v());
+    // The gradient skips every face that touches a solid, inflow or
+    // out-of-grid cell: exactly the faces the pin above wrote, which
+    // nothing has written since, so they need no second pin. The safety
+    // clamp rides in the same pass: approximate pressure solves can feed
+    // energy back into the velocity field, and clamping keeps components
+    // finite and bounded so telemetry and quality metrics stay
+    // well-defined.
+    subtract_pressure_gradient_and_clamp(
+        pressure_, flags_, static_cast<float>(params_.max_velocity), &vel_);
   }
 
   {

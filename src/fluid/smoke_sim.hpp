@@ -80,7 +80,9 @@ class SmokeSim {
   [[nodiscard]] const MacGrid2& velocity() const { return vel_; }
   [[nodiscard]] const FlagGrid& flags() const { return flags_; }
   [[nodiscard]] const GridF& pressure() const { return pressure_; }
-  [[nodiscard]] const GridF& last_divergence() const { return divergence_; }
+  /// The last step's projection rhs, b = -div(u*): -div on fluid cells,
+  /// -0.0f on the others.
+  [[nodiscard]] const GridF& last_rhs() const { return rhs_; }
 
   [[nodiscard]] double cum_div_norm() const { return cum_div_norm_; }
   [[nodiscard]] int steps_taken() const { return steps_; }
@@ -104,7 +106,7 @@ class SmokeSim {
 
   /// Overwrite the cross-step state from a checkpoint: density, pressure
   /// (warm-start seed), velocity, the CumDivNorm accumulator and the step
-  /// counter. Everything else (divergence/rhs/scratch grids) is fully
+  /// counter. Everything else (the rhs and scratch grids) is fully
   /// rewritten by the next step(), so this is the complete suspend/resume
   /// surface (core::SessionStepper persistence). Moving-obstacle flags
   /// are a pure function of (scene, steps) and are re-rasterised here
@@ -120,6 +122,9 @@ class SmokeSim {
  private:
   /// Vorticity of cell (i, j), one cell of vorticity().
   [[nodiscard]] float vorticity_at(int i, int j) const;
+
+  /// Boussinesq buoyancy on the v faces between two fluid cells.
+  void add_buoyancy();
 
   void add_vorticity_confinement();
 
@@ -146,7 +151,6 @@ class SmokeSim {
   std::vector<int> distance_queue_;
   GridF density_;
   GridF pressure_;
-  GridF divergence_;
   GridF rhs_;
   MacGrid2 vel_;
   MacGrid2 vel_scratch_;

@@ -6,29 +6,11 @@
 #include "obs/trace.hpp"
 #include "util/config.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 
 namespace sfn::runtime {
-
-namespace {
-
-/// Max-norm of `g` over fluid cells, ignoring non-finite entries (a NaN
-/// rhs cell must not silence the comparison below).
-double fluid_max_abs(const fluid::FlagGrid& flags, const fluid::GridF& g) {
-  double m = 0.0;
-  for (int j = 0; j < g.ny(); ++j) {
-    for (int i = 0; i < g.nx(); ++i) {
-      const double v = std::abs(g(i, j));
-      if (flags.is_fluid(i, j) && std::isfinite(v)) {
-        m = std::max(m, v);
-      }
-    }
-  }
-  return m;
-}
-
-}  // namespace
 
 GuardParams GuardParams::from_env() {
   GuardParams params;
@@ -54,22 +36,16 @@ fluid::GuardOutcome FallbackPolicy::inspect(const fluid::FlagGrid& flags,
   }
   outcome.checked = true;
 
-  // Count non-finite pressure cells explicitly: poisson_residual's
+  // One fused sweep (a 5-point stencil pass) is the entire per-step guard
+  // cost. It counts non-finite pressure cells explicitly: the residual's
   // max-norm drops NaN terms (NaN comparisons are false inside std::max),
-  // so an all-NaN field would otherwise read as a perfect solve.
-  int bad_cells = 0;
-  for (std::size_t k = 0; k < pressure->size(); ++k) {
-    if (!std::isfinite((*pressure)[k])) {
-      ++bad_cells;
-    }
-  }
-
-  // One residual sweep (a 5-point stencil pass) is the entire per-step
-  // guard cost. Relative to the rhs max-norm so the threshold is
+  // so an all-NaN field would otherwise read as a perfect solve. The
+  // residual is relative to the rhs max-norm so the threshold is
   // resolution- and scale-independent.
-  const double residual = fluid::poisson_residual(flags, rhs, *pressure);
-  const double scale = std::max(fluid_max_abs(flags, rhs), 1e-12);
-  const double relative = residual / scale;
+  const fluid::ResidualSweep sweep =
+      fluid::residual_sweep(flags, rhs, *pressure);
+  const int bad_cells = sweep.non_finite;
+  const double relative = sweep.residual / std::max(sweep.rhs_max, 1e-12);
   outcome.relative_residual = relative;
 
   static obs::Histogram& residual_hist = obs::histogram("guard.residual");

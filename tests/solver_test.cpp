@@ -1,9 +1,12 @@
+#include "core/neural_projection.hpp"
 #include "fluid/handoff.hpp"
 #include "fluid/multigrid.hpp"
 #include "fluid/operators.hpp"
 #include "fluid/pcg.hpp"
 #include "fluid/relaxation.hpp"
+#include "modelgen/arch_spec.hpp"
 #include "pcg_reference.hpp"
+#include "runtime/fallback.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "workload/evaluate.hpp"
@@ -412,8 +415,10 @@ TEST(Pcg, SteadyStateSolveIsAllocationFree) {
 
 TEST(SmokeSim, SteadyStateStepIsAllocationFree) {
   // Once warm, a whole step touches no heap: MacCormack's intermediate
-  // fields, the confinement scratch and a moving obstacle's per-step
-  // solid-distance refresh all reuse their buffers.
+  // fields, the confinement scratch, a moving obstacle's per-step
+  // solid-distance refresh, and the per-row partials of DivNorm, the
+  // surrogate's decode and the guard's sweep (sized before each team
+  // opens) all reuse their buffers, at one thread and at four.
   workload::ProblemSetParams plume_params;
   plume_params.grid = 48;
   plume_params.steps = 8;
@@ -421,30 +426,56 @@ TEST(SmokeSim, SteadyStateStepIsAllocationFree) {
       workload::generate_problems(1, plume_params, 3).front(),
       workload::make_scene(workload::SceneFamily::kMovingObstacle, 3,
                            {48, 8})};
-  for (const auto& base : bases) {
-    for (const auto scheme : {fluid::AdvectionScheme::kSemiLagrangian,
-                              fluid::AdvectionScheme::kMacCormack}) {
-      for (const double confinement : {0.0, 8.0}) {
-        workload::InputProblem problem = base;
-        problem.sim.advection = scheme;
-        problem.sim.vorticity_confinement = confinement;
-        fluid::SmokeSim sim = workload::make_sim(problem);
-        PcgSolver solver;
-        sim.step(&solver);
-        sim.step(&solver);
+  util::Rng rng(3);
+  const nn::Network net =
+      modelgen::build_network(modelgen::tompson_spec(4), rng);
+  const int old_threads = omp_get_max_threads();
+  for (const int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    for (const auto& base : bases) {
+      for (const auto scheme : {fluid::AdvectionScheme::kSemiLagrangian,
+                                fluid::AdvectionScheme::kMacCormack}) {
+        for (const double confinement : {0.0, 8.0}) {
+          for (const bool neural : {false, true}) {
+            workload::InputProblem problem = base;
+            problem.sim.advection = scheme;
+            problem.sim.vorticity_confinement = confinement;
+            fluid::SmokeSim sim = workload::make_sim(problem);
+            PcgSolver pcg;
+            core::NeuralProjection surrogate(&net, nullptr, "tiny");
+            // Trips on some steps (relative residuals of this untrained
+            // network read about 1 to 3).
+            runtime::GuardParams guard_params;
+            guard_params.residual_threshold = 1.8;
+            runtime::FallbackPolicy guard(guard_params);
+            const auto step = [&] {
+              return neural ? sim.step(&surrogate, &guard) : sim.step(&pcg);
+            };
+            step();
+            step();
+            // Warm the guard's fallback PCG, which may not have tripped
+            // yet.
+            GridF scratch = sim.pressure();
+            guard.exact_solver()->solve(sim.flags(), sim.last_rhs(),
+                                        &scratch);
 
-        g_alloc_count.store(0);
-        g_count_allocs.store(true);
-        for (int step = 0; step < 3; ++step) {
-          sim.step(&solver);
+            g_alloc_count.store(0);
+            g_count_allocs.store(true);
+            for (int k = 0; k < 3; ++k) {
+              step();
+            }
+            g_count_allocs.store(false);
+            EXPECT_EQ(0u, g_alloc_count.load())
+                << "seed " << problem.seed << " scheme "
+                << static_cast<int>(scheme) << " confinement " << confinement
+                << (neural ? " neural+guard" : " pcg") << " threads "
+                << threads;
+          }
         }
-        g_count_allocs.store(false);
-        EXPECT_EQ(0u, g_alloc_count.load())
-            << "seed " << problem.seed << " scheme "
-            << static_cast<int>(scheme) << " confinement " << confinement;
       }
     }
   }
+  omp_set_num_threads(old_threads);
 }
 
 TEST(ChunkHandoff, ChainedProducersHandOffEveryChunk) {

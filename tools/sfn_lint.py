@@ -84,6 +84,16 @@ Mechanically enforceable project rules (see DESIGN.md §9):
                         read but not documented, or a row whose knob the
                         code no longer reads, is a finding — deletions must
                         take their README rows with them.
+  R13 raw-omp-region    `#pragma omp parallel` under src/ only in
+                        src/util/team.hpp (util::on_team/for_rows, whose
+                        release/acquire pairs show ThreadSanitizer the
+                        fork and join libgomp performs) and in the files of
+                        RAW_OMP_ALLOWED, which still open plain OpenMP
+                        regions: the relaxation and multigrid solvers, the
+                        turbulence generator and the naive nn layers
+                        (DESIGN.md §9, ROADMAP's TSan item). The list may
+                        only shrink: a file leaves it when its loops move
+                        onto the shared fork/join, and no file joins it.
 
 Escape hatches are deliberate annotations, not config: append
 `// sfn-lint: allow-alloc` (R1), `// sfn-lint: safe-cast` (R3),
@@ -673,6 +683,35 @@ def rule_env_knob_docs(root: pathlib.Path) -> None:
                    "under src/, bench/ or examples/ reads it")
 
 
+# R13: OpenMP teams open through util::on_team / util::for_rows. Paths are
+# relative to src/. This list may only shrink.
+
+RAW_OMP_ALLOWED = frozenset({
+    "fluid/multigrid.cpp",
+    "fluid/relaxation.cpp",
+    "workload/turbulence.cpp",
+    "nn/conv2d.cpp",
+    "nn/activations.cpp",
+})
+RAW_OMP_RE = re.compile(r"^\s*#\s*pragma\s+omp\s+parallel\b")
+
+
+def rule_raw_omp_region(root: pathlib.Path) -> None:
+    src = root / "src"
+    for path in sorted(src.rglob("*.[ch]pp")):
+        rel = path.relative_to(src).as_posix()
+        if rel == "util/team.hpp" or rel in RAW_OMP_ALLOWED:
+            continue
+        for line_no, raw in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1):
+            if RAW_OMP_RE.search(raw):
+                report(
+                    "raw-omp-region", path.relative_to(root), line_no,
+                    "raw OpenMP region: run the loop through "
+                    "util::for_rows or util::on_team (src/util/team.hpp), "
+                    "whose fork/join ThreadSanitizer can see")
+
+
 # --------------------------------------------------------------------------
 # Optional clang-tidy pass (skipped when unavailable).
 
@@ -728,6 +767,7 @@ def main() -> int:
     rule_metric_name(root)
     rule_scene_family_golden(root)
     rule_env_knob_docs(root)
+    rule_raw_omp_region(root)
     mutex_mode = rule_raw_mutex(root, args.build_dir)
     if args.no_clang_tidy:
         tidy_status = "skipped (--no-clang-tidy)"

@@ -178,38 +178,57 @@ void BM_NeuralSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_NeuralSolve)->Arg(32)->Arg(64)->Arg(96);
 
-/// What a step's advection runs: density, then velocity, under the
-/// scheme in range(1) (0 semi-Lagrangian, 1 MacCormack), on a seeded
-/// random field whose backtraces reach up to two cells, so the samples
+/// What a step's advection runs: density, then velocity, on a seeded
+/// random n² field whose backtraces reach up to two cells, so the samples
 /// next to the walls cross the border.
+class AdvectionStep {
+ public:
+  explicit AdvectionStep(int n)
+      : flags_(make_flags(n)),
+        vel_(n, n),
+        src_(n, n, 0.0f),
+        dst_(n, n, 0.0f),
+        vel_out_(n, n) {
+    const double two_cells = 2.0 / (kDt * n);  // World speed of 2 cells/step.
+    util::Rng rng(5);
+    for (float& u : vel_.u().data()) {
+      u = static_cast<float>(rng.uniform(-two_cells, two_cells));
+    }
+    for (float& v : vel_.v().data()) {
+      v = static_cast<float>(rng.uniform(-two_cells, two_cells));
+    }
+    vel_.enforce_solid_boundaries(flags_);
+    for (float& d : src_.data()) {
+      d = static_cast<float>(rng.uniform(0.0, 1.0));
+    }
+  }
+
+  void run(fluid::AdvectionScheme scheme) {
+    fluid::advect_scalar(vel_, flags_, kDt, src_, &dst_, scheme);
+    fluid::advect_velocity(vel_, flags_, kDt, &vel_out_, scheme);
+    benchmark::DoNotOptimize(dst_);
+    benchmark::DoNotOptimize(vel_out_);
+  }
+
+ private:
+  static constexpr double kDt = 0.05;
+  fluid::FlagGrid flags_;
+  fluid::MacGrid2 vel_;
+  fluid::GridF src_;
+  fluid::GridF dst_;
+  fluid::MacGrid2 vel_out_;
+};
+
+/// AdvectionStep under the scheme in range(1) (0 semi-Lagrangian, 1
+/// MacCormack).
 void BM_Advection(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const auto scheme = state.range(1) == 0
                           ? fluid::AdvectionScheme::kSemiLagrangian
                           : fluid::AdvectionScheme::kMacCormack;
-  const auto flags = make_flags(n);
-  const double dt = 0.05;
-  const double two_cells = 2.0 / (dt * n);  // World speed of 2 cells/step.
-  util::Rng rng(5);
-  fluid::MacGrid2 vel(n, n);
-  for (float& u : vel.u().data()) {
-    u = static_cast<float>(rng.uniform(-two_cells, two_cells));
-  }
-  for (float& v : vel.v().data()) {
-    v = static_cast<float>(rng.uniform(-two_cells, two_cells));
-  }
-  vel.enforce_solid_boundaries(flags);
-  fluid::GridF src(n, n, 0.0f);
-  for (float& d : src.data()) {
-    d = static_cast<float>(rng.uniform(0.0, 1.0));
-  }
-  fluid::GridF dst(n, n, 0.0f);
-  fluid::MacGrid2 vel_out(n, n);
+  AdvectionStep step(n);
   for (auto _ : state) {
-    fluid::advect_scalar(vel, flags, dt, src, &dst, scheme);
-    fluid::advect_velocity(vel, flags, dt, &vel_out, scheme);
-    benchmark::DoNotOptimize(dst);
-    benchmark::DoNotOptimize(vel_out);
+    step.run(scheme);
   }
   // Samples per step: n^2 cells, (n+1) n u faces, n (n+1) v faces.
   state.SetItemsProcessed(state.iterations() * (3 * n * n + 2 * n));
@@ -372,6 +391,30 @@ util::Table network_forward_table() {
   return table;
 }
 
+/// Advection rows: an AdvectionStep (density and velocity) under both
+/// schemes on the served (48²) and solo (128²) grids, on one thread and
+/// on the default team.
+util::Table advection_table() {
+  const int team = omp_get_max_threads();
+  util::Table table({"scheme", "grid", "threads", "ms_per_step"});
+  for (const auto scheme : {fluid::AdvectionScheme::kSemiLagrangian,
+                            fluid::AdvectionScheme::kMacCormack}) {
+    const bool sl = scheme == fluid::AdvectionScheme::kSemiLagrangian;
+    for (const int n : {48, 128}) {
+      AdvectionStep step(n);
+      for (const int threads : team_widths()) {
+        omp_set_num_threads(threads);
+        const double sec = time_kernel([&] { step.run(scheme); }, 1.0);
+        table.add_row({sl ? "semi_lagrangian" : "maccormack",
+                       std::to_string(n), std::to_string(threads),
+                       util::fmt(sec * 1e3, 4)});
+      }
+    }
+  }
+  omp_set_num_threads(team);
+  return table;
+}
+
 /// A "solver" that copies one fixed pressure field, so a step spends its
 /// time on the passes around the solve alone.
 class FixedPressure final : public fluid::PoissonSolver {
@@ -463,6 +506,9 @@ void report_conv_sweep(const util::BenchConfig& cfg) {
   const util::Table network = network_forward_table();
   network.print("Prepacked tompson(8) forward_inference (whole network)");
 
+  const util::Table advection = advection_table();
+  advection.print("Advection of density and velocity (one step's worth)");
+
   const util::Table step = step_nonsolve_table();
   step.print("SmokeSim::step around a fixed-pressure solver (non-solve work)");
 
@@ -475,6 +521,7 @@ void report_conv_sweep(const util::BenchConfig& cfg) {
                     {{"conv_algos", &table},
                      {"speedup", &speedup},
                      {"network_forward", &network},
+                     {"advection", &advection},
                      {"step_nonsolve", &step},
                      {"provenance", &provenance}});
 }

@@ -1,10 +1,14 @@
 #include "fluid/advection.hpp"
 
+#include "fluid/advection_avx2.hpp"
 #include "util/check.hpp"
 #include "util/team.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <span>
 
 namespace sfn::fluid {
@@ -80,6 +84,9 @@ class Lattice {
     return std::clamp(value, lo, hi);
   }
 
+  /// The lattice as the vector rows read it (advection_avx2.hpp).
+  [[nodiscard]] detail::Plane plane() const { return {data_, nx_, ny_}; }
+
  private:
   [[nodiscard]] bool inside(double x, double y) const {
     return x >= 0.0 && x < x_end_ && y >= 0.0 && y < y_end_;
@@ -136,12 +143,72 @@ class Backtrace {
     }
   }
 
+  /// The same backtrace, reading `from` at the end points, for the vector
+  /// rows (advection_avx2.hpp).
+  [[nodiscard]] detail::SemiLagrangianRow row(const Lattice& from, double ox,
+                                              double oy) const {
+    return {u_.plane(), v_.plane(), from.plane(), dt_, cells_per_unit_, ox,
+            oy};
+  }
+
  private:
   Lattice u_;
   Lattice v_;
   double dt_;
   double cells_per_unit_;
 };
+
+/// The AVX2 rows when this build has them and this CPU runs them (cpuid,
+/// tested once), else null: every row then runs on the scalar path.
+detail::SemiLagrangianGroups vector_groups() {
+#if defined(__x86_64__) && !defined(SFN_FORCE_SCALAR_KERNELS)
+  static const detail::SemiLagrangianGroups groups =
+      __builtin_cpu_supports("avx2") ? detail::avx2_semi_lagrangian_groups()
+                                     : nullptr;
+  return groups;
+#else
+  return nullptr;
+#endif
+}
+
+/// Semi-Lagrangian row j: out = `from` read at each sample's backtraced
+/// position, the sample (i, j) sitting at (i + ox, j + oy). With `vec`,
+/// groups of four samples run on the vector rows, and the groups they
+/// leave (a read at a border, or at a non-finite or far position) and the
+/// row's last n mod 4 samples run on Backtrace::chunk and Lattice::at, the
+/// path that gives every sample its bits.
+void semi_lagrangian_row(const Backtrace& bt, detail::SemiLagrangianGroups vec,
+                         const GridF& from, double ox, double oy, int j,
+                         float* out) {
+  const Lattice lattice(from);
+  const int n = from.nx();
+  const double y = j + oy;
+  const auto scalar = [&](int i0, int m) {
+    double sx[kChunk];
+    double sy[kChunk];
+    bt.chunk(i0, m, ox, y, sx, sy);
+    for (int k = 0; k < m; ++k) {
+      out[i0 + k] = lattice.at(sx[k] - ox, sy[k] - oy);
+    }
+  };
+  static_assert(kChunk == 4 * detail::kMaxGroups);
+  const detail::SemiLagrangianRow row = bt.row(lattice, ox, oy);
+  for (int i0 = 0; i0 < n; i0 += kChunk) {
+    const int m = std::min(kChunk, n - i0);
+    if (vec == nullptr) {
+      scalar(i0, m);
+      continue;
+    }
+    const int groups = m / 4;
+    for (std::uint32_t left = vec(row, y, i0, groups, out); left != 0;
+         left &= left - 1) {
+      scalar(i0 + 4 * std::countr_zero(left), 4);
+    }
+    if (m % 4 != 0) {
+      scalar(i0 + 4 * groups, m % 4);
+    }
+  }
+}
 
 /// emit(i, sx, sy) for every sample i of row j of an `n`-sample-wide
 /// lattice whose sample (i, j) sits at (i + ox, j + oy), with (sx, sy) its
@@ -239,20 +306,16 @@ void advect_fields(const MacGrid2& vel, const FlagGrid& flags, double dt,
       }
     });
   };
-  // Semi-Lagrangian pass: out = `from` read at each backtraced position.
-  const auto semi_lagrangian = [](const Backtrace& bt, const Field& f, int j,
-                                  const GridF& from, float* out) {
-    const Lattice lattice(from);
-    trace_row(bt, from.nx(), j, f.ox, f.oy,
-              [&](int i, double sx, double sy) {
-                out[i] = lattice.at(sx - f.ox, sy - f.oy);
-              });
-  };
+  // The vector rows index every lattice with 32-bit float offsets.
+  SFN_CHECK(static_cast<std::size_t>(vel.nx() + 1) * (vel.ny() + 1) <=
+                static_cast<std::size_t>(std::numeric_limits<int>::max()),
+            "advect: grid too large for 32-bit lattice offsets");
+  const detail::SemiLagrangianGroups vec = vector_groups();
   const Backtrace forward(vel, dt);
   if (scheme != AdvectionScheme::kMacCormack) {
     each_row([&](const Field& f, int j) {
       float* out = row_of(*f.dst, j);
-      semi_lagrangian(forward, f, j, *f.src, out);
+      semi_lagrangian_row(forward, vec, *f.src, f.ox, f.oy, j, out);
       hold_row(flags, f, j, out);
     });
     return;
@@ -261,10 +324,12 @@ void advect_fields(const MacGrid2& vel, const FlagGrid& flags, double dt,
   // corrected value clamped to the forward sample's stencil.
   const Backtrace backward(vel, -dt);
   each_row([&](const Field& f, int j) {
-    semi_lagrangian(forward, f, j, *f.src, row_of(f.mc->forward, j));
+    semi_lagrangian_row(forward, vec, *f.src, f.ox, f.oy, j,
+                        row_of(f.mc->forward, j));
   });
   each_row([&](const Field& f, int j) {
-    semi_lagrangian(backward, f, j, f.mc->forward, row_of(f.mc->back, j));
+    semi_lagrangian_row(backward, vec, f.mc->forward, f.ox, f.oy, j,
+                        row_of(f.mc->back, j));
   });
   each_row([&](const Field& f, int j) {
     const Lattice src(*f.src);

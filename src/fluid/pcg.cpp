@@ -145,12 +145,20 @@ double sum_rows(const double* partials, int ny) {
   return acc;
 }
 
+/// std::max(m, a), except that a NaN `a` replaces m and a NaN m stays, so
+/// a NaN residual term reaches the solve's residual (and stops the solve
+/// unconverged) instead of being dropped. Bit-identical to std::max for
+/// every other pair.
+double max_keeping_nan(double m, double a) {
+  return m < a || std::isnan(a) ? a : m;
+}
+
 /// Max of per-row maxima. Max is order-independent, so the grouping does
-/// not matter, and std::max(m, NaN) keeps m, so NaN cells never count.
+/// not matter; a NaN row maximum makes the result NaN.
 double max_rows(const double* partials, int ny) {
   double m = 0.0;
   for (int j = 0; j < ny; ++j) {
-    m = std::max(m, partials[j]);
+    m = max_keeping_nan(m, partials[j]);
   }
   return m;
 }
@@ -411,7 +419,7 @@ SolveStats PcgSolver::solve(const FlagGrid& flags, const GridF& rhs,
         continue;
       }
       r[k] = b[k] - apply_a_at(bits, diag[k], p, k, stride);
-      m = std::max(m, std::abs(r[k]));
+      m = max_keeping_nan(m, std::abs(r[k]));
     }
     row_partial[j] = m;
   });
@@ -460,7 +468,7 @@ SolveStats PcgSolver::solve(const FlagGrid& flags, const GridF& rhs,
         }
         p[k] += alpha * s[k];
         r[k] -= alpha * as[k];
-        m = std::max(m, std::abs(r[k]));
+        m = max_keeping_nan(m, std::abs(r[k]));
       }
       row_partial[j] = m;
     });
@@ -468,6 +476,10 @@ SolveStats PcgSolver::solve(const FlagGrid& flags, const GridF& rhs,
     if (residual <= params_.tolerance) {
       ++iter;
       stats.converged = true;
+      break;
+    }
+    if (std::isnan(residual)) {
+      ++iter;
       break;
     }
     const double sigma_new = precondition();
@@ -493,7 +505,9 @@ SolveStats PcgSolver::solve(const FlagGrid& flags, const GridF& rhs,
   stats.iterations = iter;
   stats.residual = residual;
   iterations.add(static_cast<std::uint64_t>(iter));
-  residuals.observe(residual);
+  if (!std::isnan(residual)) {
+    residuals.observe(residual);  // A NaN would poison the histogram's sum.
+  }
   // ~7 flops/cell for A, 2x2 for dots, 3x2 for axpy, ~14 for IC solves.
   stats.flops += static_cast<std::uint64_t>(iter + 1) * cells * 33;
   stats.seconds = timer.seconds();

@@ -322,9 +322,11 @@ struct VelocityCase {
 };
 
 /// Fields whose backtraces stay inside, reach and cross every border, land
-/// on exact lattice and border positions, carry -0.0, and (unless the
-/// numerics checks would reject them first) NaN and ±inf faces. Velocities
-/// are in world units, so `cells` cells per step is cells / (dt * nx).
+/// on exact lattice and border positions, carry -0.0, send single samples
+/// far outside from the middle of groups that otherwise stay inside, and
+/// (unless the numerics checks would reject them first) carry NaN and ±inf
+/// faces. Velocities are in world units, so `cells` cells per step is
+/// cells / (dt * nx).
 std::vector<VelocityCase> velocity_cases(int nx, int ny, std::uint64_t seed) {
   util::Rng rng(seed);
   const double dt = 0.05;
@@ -363,6 +365,21 @@ std::vector<VelocityCase> velocity_cases(int nx, int ny, std::uint64_t seed) {
   }
   for (std::size_t k = 0; k < whole.v().size(); ++k) {
     whole.v()[k] = (k % 2 == 0) ? 2.0f : -1.0f;
+  }
+  // Finite but huge faces among small ones: a sample whose reads touch one
+  // backtraces some 1e29 to 1e40 cells away while its neighbours in the
+  // row stay inside, so the vector rows see groups with a single far lane
+  // (at any stage) and must leave the whole group to the scalar path
+  // without reading at that lane's index.
+  MacGrid2& huge = add("huge", dt);
+  fill_random(&huge.u(), &rng, -0.4 * cell, 0.4 * cell);
+  fill_random(&huge.v(), &rng, -0.4 * cell, 0.4 * cell);
+  const float giants[] = {1e30f, -1e30f, 3e38f, -3e38f};
+  for (std::size_t k = 5; k < huge.u().size(); k += 13) {
+    huge.u()[k] = giants[k % 4];
+  }
+  for (std::size_t k = 2; k < huge.v().size(); k += 17) {
+    huge.v()[k] = giants[k % 4];
   }
 #ifndef SFN_CHECK_NUMERICS
   MacGrid2& poisoned = add("nan-inf", dt);

@@ -148,6 +148,33 @@ TEST(Pcg, HandlesObstacles) {
   EXPECT_FLOAT_EQ(p(16, 16), 0.0f);
 }
 
+TEST(Pcg, InconsistentWalledPocketReportsNonFiniteResidual) {
+  // A 2-cell fluid pocket walled in by a 4x3 solid block has no empty
+  // neighbour: its pressure is fixed only up to a constant, and an rhs
+  // that does not sum to zero over it has no solution. Beside the open
+  // box's own (solvable) rhs, the solve breaks down into NaN after 42
+  // iterations, and must say so rather than report convergence.
+  FlagGrid flags = open_box(8);
+  for (int j = 2; j < 5; ++j) {
+    for (int i = 2; i < 6; ++i) {
+      flags.set(i, j, CellType::kSolid);
+    }
+  }
+  flags.set(3, 3, CellType::kFluid);
+  flags.set(4, 3, CellType::kFluid);
+  GridF rhs = random_rhs(flags, 7);
+  rhs(3, 3) = 0.5f;
+  GridF p(8, 8, 0.0f);
+  PcgSolver solver;
+#ifdef SFN_CHECK_NUMERICS
+  EXPECT_THROW(solver.solve(flags, rhs, &p), util::CheckError);
+#else
+  const auto stats = solver.solve(flags, rhs, &p);
+  EXPECT_FALSE(stats.converged);
+  EXPECT_FALSE(std::isfinite(stats.residual));
+#endif
+}
+
 TEST(Pcg, ZeroRhsGivesZeroSolution) {
   const FlagGrid flags = open_box(16);
   const GridF rhs(16, 16, 0.0f);

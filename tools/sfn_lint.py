@@ -44,10 +44,18 @@ Mechanically enforceable project rules (see DESIGN.md §9):
   R8 raw-intrinsics     Raw SIMD intrinsics (`_mm256_*`, `vld1q_*`, the
                         `__m256`/`float32x4_t` vector types) and their
                         headers (<immintrin.h>, <arm_neon.h>) live only
-                        under src/nn/kernels/. Everything else targets the
-                        microkernel interface, so the scalar-forced CI leg
-                        (SFN_FORCE_SCALAR_KERNELS) and non-x86 ports only
-                        ever have to stub one directory (DESIGN.md §13).
+                        under src/nn/kernels/ and in the files of
+                        INTRINSICS_FILES, today exactly the AVX2 advection
+                        rows (src/fluid/advection_avx2.cpp). Everything
+                        else targets the microkernel interface or the
+                        advection rows' private header, so the
+                        scalar-forced CI leg (SFN_FORCE_SCALAR_KERNELS) and
+                        non-x86 ports only ever have to stub a known set of
+                        files (DESIGN.md §13). A listed file must also keep
+                        every intrinsic inside its
+                        `#if defined(__x86_64__) &&
+                        !defined(SFN_FORCE_SCALAR_KERNELS)` block, so that
+                        its #else stub is what those builds compile.
   R9 raw-mutex          std::mutex, std::lock_guard, std::unique_lock,
                         std::scoped_lock, std::shared_lock and
                         std::condition_variable[_any] are forbidden
@@ -343,7 +351,7 @@ def rule_serve_isolation(root: pathlib.Path) -> None:
 
 
 # --------------------------------------------------------------------------
-# R8: raw SIMD intrinsics only under src/nn/kernels/.
+# R8: raw SIMD intrinsics only under src/nn/kernels/ and in INTRINSICS_FILES.
 
 # x86: _mm/_mm256/_mm512 calls and __m128/__m256/__m512 vector types.
 # NEON: v<op>[q]_<lane-type> intrinsic calls (vld1q_f32, vfmaq_n_f32, ...)
@@ -356,6 +364,45 @@ INTRINSIC_HEADER_RE = re.compile(
     r'#\s*include\s*[<"](?:\w*intrin|arm_neon|arm_sve)\.h[>"]')
 
 
+# SIMD translation units outside src/nn/kernels/, relative to the root.
+# Each compiles its intrinsics only under ISA_GUARD_RE's #if and a stub in
+# the #else, which is what the scalar-forced leg and ports build.
+INTRINSICS_FILES = frozenset({"src/fluid/advection_avx2.cpp"})
+PP_IF_RE = re.compile(r"^\s*#\s*if(?:n?def)?\b(.*)")
+PP_ELSE_RE = re.compile(r"^\s*#\s*(?:else|elif)\b")
+PP_ENDIF_RE = re.compile(r"^\s*#\s*endif\b")
+ISA_GUARD_RE = re.compile(
+    r"defined\s*\(?\s*__x86_64__\s*\)?\s*&&\s*"
+    r"!\s*defined\s*\(?\s*SFN_FORCE_SCALAR_KERNELS\s*\)?")
+
+
+def is_intrinsic_line(code: str) -> bool:
+    return bool(INTRINSICS_RE.search(code) or INTRINSIC_HEADER_RE.search(code))
+
+
+def unguarded_intrinsic_lines(text: str):
+    """Yield the line numbers of intrinsics outside the ISA guard's #if
+    branch (its #else/#elif branches are the stub and do not count)."""
+    guards: list[bool] = []  # One entry per open #if: inside the guard?
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        m = PP_IF_RE.match(raw)
+        if m:
+            guards.append(bool(ISA_GUARD_RE.search(m.group(1))))
+            continue
+        if PP_ELSE_RE.match(raw):
+            if guards:
+                guards[-1] = False
+            continue
+        if PP_ENDIF_RE.match(raw):
+            if guards:
+                guards.pop()
+            continue
+        if any(guards) or "sfn-lint: allow-intrinsics" in raw:
+            continue
+        if is_intrinsic_line(strip_line_comment(raw)):
+            yield line_no
+
+
 def rule_raw_intrinsics(root: pathlib.Path) -> None:
     kernels_dir = root / "src" / "nn" / "kernels"
     for sub in ("src", "tests", "bench", "examples"):
@@ -365,19 +412,28 @@ def rule_raw_intrinsics(root: pathlib.Path) -> None:
         for path in sorted(base.rglob("*.[ch]pp")):
             if kernels_dir in path.parents:
                 continue
-            for line_no, raw in enumerate(
-                    path.read_text(encoding="utf-8").splitlines(), 1):
-                if "sfn-lint: allow-intrinsics" in raw:
-                    continue
-                code = strip_line_comment(raw)
-                if INTRINSICS_RE.search(code) or INTRINSIC_HEADER_RE.search(code):
+            text = path.read_text(encoding="utf-8")
+            if path.relative_to(root).as_posix() in INTRINSICS_FILES:
+                for line_no in unguarded_intrinsic_lines(text):
                     report(
                         "raw-intrinsics", path.relative_to(root), line_no,
-                        "raw SIMD intrinsic outside src/nn/kernels/; go "
-                        "through the microkernel interface "
-                        "(nn/kernels/microkernel.hpp) so scalar/non-x86 "
-                        "builds stay buildable (or annotate `// sfn-lint: "
-                        "allow-intrinsics` with a reason)")
+                        "intrinsic outside the `#if defined(__x86_64__) && "
+                        "!defined(SFN_FORCE_SCALAR_KERNELS)` block; the "
+                        "scalar-forced leg and ports compile this file's "
+                        "#else stub, so every intrinsic belongs inside")
+                continue
+            for line_no, raw in enumerate(text.splitlines(), 1):
+                if "sfn-lint: allow-intrinsics" in raw:
+                    continue
+                if is_intrinsic_line(strip_line_comment(raw)):
+                    report(
+                        "raw-intrinsics", path.relative_to(root), line_no,
+                        "raw SIMD intrinsic outside src/nn/kernels/ and "
+                        "INTRINSICS_FILES; go through the microkernel "
+                        "interface (nn/kernels/microkernel.hpp) or the "
+                        "advection rows (fluid/advection_avx2.hpp) so "
+                        "scalar/non-x86 builds stay buildable (or annotate "
+                        "`// sfn-lint: allow-intrinsics` with a reason)")
 
 
 # --------------------------------------------------------------------------

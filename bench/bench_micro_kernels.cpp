@@ -322,11 +322,6 @@ std::vector<SweepRow> run_conv_sweep() {
   std::vector<SweepRow> rows;
   const int grids[] = {64, 128, 256};
 
-  std::vector<Isa> isas = {Isa::kScalar};
-  if (nn::kernels::detected_isa() != Isa::kScalar) {
-    isas.push_back(nn::kernels::detected_isa());
-  }
-
   for (const int n : grids) {
     nn::Conv2D conv(16, 16, 3);
     conv.prepack();
@@ -344,7 +339,7 @@ std::vector<SweepRow> run_conv_sweep() {
     push("naive", "any",
          time_kernel([&] { conv.forward_naive_into(input, out); }));
 
-    for (const Isa isa : isas) {
+    for (const Isa isa : nn::kernels::runnable_isas()) {
       nn::kernels::set_isa_override(isa);
       const std::string name = nn::kernels::isa_name(isa);
       push("packed_f32", name, time_kernel([&] {
@@ -368,25 +363,33 @@ std::vector<int> team_widths() {
 
 /// Whole-network rows: a prepacked tompson(8) forward_inference on the
 /// served (48²) and solo (128²) grids, on one thread and on the default
-/// team, so the conv's team scaling shows beside its single-thread rate.
+/// team, pinned to each ISA the host runs, so the conv's team scaling and
+/// each kernel tier show side by side.
 util::Table network_forward_table() {
   util::Rng rng(7);
   const auto net = modelgen::build_network(modelgen::tompson_spec(8), rng);
   net.prepack_for_inference();
   const int team = omp_get_max_threads();
-  util::Table table({"model", "grid", "threads", "ms_per_forward", "gflops"});
-  for (const int n : {48, 128}) {
-    const nn::Tensor input = random_input(2, n, 13);
-    const double flops = static_cast<double>(net.flops(input.shape()));
-    for (const int threads : team_widths()) {
-      omp_set_num_threads(threads);
-      nn::Workspace ws;
-      const double sec =
-          time_kernel([&] { net.forward_inference(input, ws); }, 1.0);
-      table.add_row({"tompson8", std::to_string(n), std::to_string(threads),
-                     util::fmt(sec * 1e3, 4), util::fmt(flops / sec / 1e9, 3)});
+  util::Table table(
+      {"model", "isa", "grid", "threads", "ms_per_forward", "gflops"});
+  for (const nn::kernels::Isa isa : nn::kernels::runnable_isas()) {
+    nn::kernels::set_isa_override(isa);
+    for (const int n : {48, 128}) {
+      const nn::Tensor input = random_input(2, n, 13);
+      const double flops = static_cast<double>(net.flops(input.shape()));
+      for (const int threads : team_widths()) {
+        omp_set_num_threads(threads);
+        nn::Workspace ws;
+        const double sec =
+            time_kernel([&] { net.forward_inference(input, ws); }, 1.0);
+        table.add_row({"tompson8", nn::kernels::isa_name(isa),
+                       std::to_string(n), std::to_string(threads),
+                       util::fmt(sec * 1e3, 4),
+                       util::fmt(flops / sec / 1e9, 3)});
+      }
     }
   }
+  nn::kernels::reset_isa_override();
   omp_set_num_threads(team);
   return table;
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 namespace sfn::nn::kernels {
 
@@ -14,16 +15,22 @@ namespace sfn::nn::kernels {
 enum class Isa {
   kScalar,  ///< Portable fallback (fmaf-based, always available).
   kAvx2,    ///< x86 AVX2 + FMA (8-wide fused multiply-add).
+  kAvx512,  ///< x86 AVX-512F (16-wide fused multiply-add, masked tails).
   kNeon,    ///< AArch64 NEON (4-wide fused multiply-add).
 };
 
 /// Best ISA this build + this CPU supports (cpuid-checked once).
 [[nodiscard]] Isa detected_isa();
 
+/// Every ISA this build + this CPU can run, scalar first and
+/// detected_isa() last: scalar, then AVX2 and AVX-512 up to the detected
+/// x86 tier, or NEON. Tests and the kernel benchmark pin each in turn.
+[[nodiscard]] const std::vector<Isa>& runnable_isas();
+
 /// ISA the kernels actually dispatch to: detected_isa() unless a test or
-/// benchmark pinned another with set_isa_override. A pin the hardware or
-/// build cannot honour falls back to scalar, never to an illegal
-/// instruction.
+/// benchmark pinned another with set_isa_override. A pin names any of
+/// runnable_isas(); one the hardware or build cannot honour falls back to
+/// scalar, never to an illegal instruction.
 [[nodiscard]] Isa active_isa();
 
 /// Process-wide pin for tests and the per-ISA kernel benchmark sweep

@@ -101,7 +101,7 @@ void tile_rows(int K, const float* a, const float* bias, const float* b,
 void tile_f32_avx2(int K, const float* a, const float* bias, const float* b,
                    const std::ptrdiff_t* boff, const float* res,
                    std::size_t ldres, float* c, std::size_t ldc, int rows,
-                   bool relu) {
+                   int /*cols == kNr*/, bool relu) {
   switch (rows) {
     case 1:
       return tile_rows<1>(K, a, bias, b, boff, res, ldres, c, ldc, relu);
@@ -118,7 +118,7 @@ void tile_f32_avx2(int K, const float* a, const float* bias, const float* b,
   }
 }
 
-constexpr KernelSet kAvx2Set{Isa::kAvx2, tile_f32_avx2};
+constexpr KernelSet kAvx2Set{Isa::kAvx2, tile_f32_avx2, kNr, false};
 
 }  // namespace
 

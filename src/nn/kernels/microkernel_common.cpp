@@ -20,7 +20,7 @@ void tile_f32_ref(int K, const float* a, const float* bias, const float* b,
       // Accumulation starts from the bias and adds taps in packed-K order
       // with correctly rounded fused multiply-adds — the exact operation
       // sequence of one SIMD lane, so the result is bit-identical to the
-      // AVX2/NEON kernels.
+      // AVX2/AVX-512/NEON kernels.
       float acc = bias[r];
       for (int p = 0; p < K; ++p) {
         acc = std::fmaf(a[static_cast<std::size_t>(p) * kMr + r],
@@ -36,14 +36,9 @@ void tile_f32_ref(int K, const float* a, const float* bias, const float* b,
 
 namespace {
 
-void tile_f32_scalar(int K, const float* a, const float* bias, const float* b,
-                     const std::ptrdiff_t* boff, const float* res,
-                     std::size_t ldres, float* c, std::size_t ldc, int rows,
-                     bool relu) {
-  tile_f32_ref(K, a, bias, b, boff, res, ldres, c, ldc, rows, kNr, relu);
-}
-
-constexpr KernelSet kScalarSet{Isa::kScalar, tile_f32_scalar};
+// The reference strip is the scalar kernel; like AVX2 and NEON it walks
+// kNr-pixel strips, and the driver gives it each row's tail directly.
+constexpr KernelSet kScalarSet{Isa::kScalar, tile_f32_ref, kNr, false};
 
 }  // namespace
 
@@ -51,6 +46,9 @@ const KernelSet& active_kernels() {
   switch (active_isa()) {
     case Isa::kAvx2:
       if (const KernelSet* set = avx2_kernels()) return *set;
+      break;
+    case Isa::kAvx512:
+      if (const KernelSet* set = avx512_kernels()) return *set;
       break;
     case Isa::kNeon:
       if (const KernelSet* set = neon_kernels()) return *set;

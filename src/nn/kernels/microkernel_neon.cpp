@@ -30,7 +30,7 @@ inline float32x4_t relu4(float32x4_t v) {
 void tile_f32_neon(int K, const float* a, const float* bias, const float* b,
                    const std::ptrdiff_t* boff, const float* res,
                    std::size_t ldres, float* c, std::size_t ldc, int rows,
-                   bool relu) {
+                   int /*cols == kNr*/, bool relu) {
   float32x4_t acc[kMr][4];
   for (int r = 0; r < kMr; ++r) {
     for (int q = 0; q < 4; ++q) acc[r][q] = vdupq_n_f32(bias[r]);
@@ -61,7 +61,7 @@ void tile_f32_neon(int K, const float* a, const float* bias, const float* b,
   }
 }
 
-constexpr KernelSet kNeonSet{Isa::kNeon, tile_f32_neon};
+constexpr KernelSet kNeonSet{Isa::kNeon, tile_f32_neon, kNr, false};
 
 }  // namespace
 

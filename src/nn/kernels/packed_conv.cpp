@@ -89,8 +89,10 @@ void packed_conv_forward(const PackedConvWeights& pw, const ConvArgs& a,
       for (int y = b0; y < b1; ++y) {
         const float* const window =
             slab + static_cast<std::size_t>(y - b0) * sw;
-        for (int x0 = 0; x0 < a.w; x0 += kNr) {
-          const int cols = std::min(kNr, a.w - x0);
+        for (int x0 = 0; x0 < a.w; x0 += ks.strip) {
+          const int cols = std::min(ks.strip, a.w - x0);
+          const TileKernelF32 tile =
+              cols == ks.strip || ks.masks_tail ? ks.f32 : tile_f32_ref;
           const std::size_t n = static_cast<std::size_t>(y) * a.w + x0;
           for (int p = 0; p < pw.panels; ++p) {
             const int row0 = p * kMr;
@@ -100,13 +102,8 @@ void packed_conv_forward(const PackedConvWeights& pw, const ConvArgs& a,
             const float* res = a.residual ? a.in + at : nullptr;
             const float* bias = pw.bias.data() + row0;
             const float* ap = pw.a.data() + p * panel_elems;
-            if (cols == kNr) {
-              ks.f32(K, ap, bias, window + x0, boff, res, n_pixels, c,
-                     n_pixels, rows, a.relu);
-            } else {
-              tile_f32_ref(K, ap, bias, window + x0, boff, res, n_pixels, c,
-                           n_pixels, rows, cols, a.relu);
-            }
+            tile(K, ap, bias, window + x0, boff, res, n_pixels, c, n_pixels,
+                 rows, cols, a.relu);
           }
         }
       }

@@ -6,8 +6,9 @@
 namespace sfn::nn::kernels {
 
 /// One packed-conv invocation: geometry plus the raw CHW buffers. The
-/// driver owns the row split, the zero-padded input slabs and the tiling
-/// (rows × kNr microkernel calls, portable reference on row tails).
+/// driver owns the row split, the zero-padded input slabs and the strip
+/// walk (rows × KernelSet::strip microkernel calls; the portable reference
+/// takes row tails unless the kernel set masks its own).
 struct ConvArgs {
   int in_c = 0;
   int out_c = 0;

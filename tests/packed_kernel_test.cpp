@@ -1,16 +1,18 @@
 // Tests for the SIMD microkernel layer (nn/kernels, DESIGN.md §13):
 // packed-vs-naive parity, scalar-vs-SIMD bit-exactness, byte equality with
-// the original im2col driver at every team size (tests/
-// packed_conv_reference.hpp), fused-ReLU epilogues (in the kernels and
-// across a whole network), build-once packs (prepacked ≡ workspace-packed,
-// dropped on weight mutation, never rebuilt by inference), and the
-// zero-allocation steady state on one thread and on a full team.
+// the original im2col driver (tests/packed_conv_reference.hpp) at every
+// team size on every ISA the host runs, fused-ReLU epilogues (in the
+// kernels and across a whole network), build-once packs (prepacked ≡
+// workspace-packed, dropped on weight mutation, never rebuilt by
+// inference), and the zero-allocation steady state on one thread and on a
+// full team.
 
 #include "core/offline.hpp"
 #include "modelgen/arch_spec.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/kernels/isa.hpp"
+#include "nn/kernels/microkernel.hpp"
 #include "nn/kernels/pack.hpp"
 #include "nn/kernels/packed_conv.hpp"
 #include "nn/network.hpp"
@@ -23,6 +25,7 @@
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -137,30 +140,43 @@ TEST(PackedKernel, MatchesNaiveAcrossShapes) {
   }
 }
 
+/// Pins `isa` and checks that the pin reached the kernel table: a pin that
+/// fell back to scalar would still give the reference's bits, and the SIMD
+/// tiles would silently drop out of the test.
+void pin(nn::kernels::Isa isa) {
+  nn::kernels::set_isa_override(isa);
+  EXPECT_EQ(nn::kernels::active_kernels().isa, isa)
+      << "pin to " << nn::kernels::isa_name(isa) << " not honoured";
+}
+
 TEST(PackedKernel, ScalarAndSimdAreBitIdentical) {
   // The scalar reference accumulates with std::fmaf in the same order as
   // the SIMD kernels, so results must match bit for bit — this is what
   // lets the committed golden trajectories pass on the CI scalar leg.
-  if (nn::kernels::detected_isa() == nn::kernels::Isa::kScalar) {
+  const std::vector<nn::kernels::Isa>& isas = nn::kernels::runnable_isas();
+  if (isas.size() < 2) {
     GTEST_SKIP() << "no SIMD ISA on this host/build";
   }
   nn::Workspace ws;
   for (const auto& c : kCases) {
-    SCOPED_TRACE(testing::Message()
-                 << "in_c=" << c.in_c << " out_c=" << c.out_c << " k=" << c.k
-                 << " h=" << c.h << " w=" << c.w << " res=" << c.residual);
     nn::Conv2D conv(c.in_c, c.out_c, c.k, c.residual);
     const Tensor input = random_tensor(Shape{c.in_c, c.h, c.w}, 0xf00d);
-
-    nn::kernels::set_isa_override(nn::kernels::Isa::kScalar);
+    pin(nn::kernels::Isa::kScalar);
     Tensor scalar;
     conv.forward_packed_into(input, scalar, ws);
-    nn::kernels::set_isa_override(nn::kernels::detected_isa());
-    Tensor simd;
-    conv.forward_packed_into(input, simd, ws);
+    for (const nn::kernels::Isa isa : isas) {
+      if (isa == nn::kernels::Isa::kScalar) continue;
+      SCOPED_TRACE(testing::Message()
+                   << "in_c=" << c.in_c << " out_c=" << c.out_c
+                   << " k=" << c.k << " h=" << c.h << " w=" << c.w
+                   << " res=" << c.residual
+                   << " isa=" << nn::kernels::isa_name(isa));
+      pin(isa);
+      Tensor simd;
+      conv.forward_packed_into(input, simd, ws);
+      expect_bit_identical(scalar, simd);
+    }
     nn::kernels::reset_isa_override();
-
-    expect_bit_identical(scalar, simd);
   }
 }
 
@@ -175,6 +191,25 @@ const ConvCase kEdgeCases[] = {
     {6, 6, 1, 5, 19, false}, {16, 1, 1, 7, 33, false}, // k = 1
 };
 
+/// kEdgeCases plus rows that cross each strip and tile boundary of every
+/// kernel set (16, 32, 64 and 128 pixels) and end in a partial vector, at
+/// the panel heights the ladder uses (1, 2, 8 = 6 + 2, 13 = 6 + 6 + 1).
+/// Each width and each channel count meets both 3x3 and 5x5 kernels, and
+/// in_c == out_c up to 8 channels, so that the residual runs too.
+std::vector<ConvCase> edge_cases() {
+  std::vector<ConvCase> cases(std::begin(kEdgeCases), std::end(kEdgeCases));
+  const int widths[] = {31, 33, 63, 65, 95, 127, 129};
+  const int channels[] = {1, 2, 8, 13};
+  for (std::size_t wi = 0; wi < std::size(widths); ++wi) {
+    for (std::size_t ci = 0; ci < std::size(channels); ++ci) {
+      const int c = channels[ci];
+      cases.push_back({c <= 8 ? c : 3, c, (wi + ci) % 2 == 0 ? 3 : 5, 2,
+                       widths[wi], false});
+    }
+  }
+  return cases;
+}
+
 /// The conv's weights, packed the way its packed path packs them.
 nn::kernels::PackedConvWeights pack_of(nn::Conv2D& conv) {
   const auto params = conv.params();
@@ -185,24 +220,35 @@ nn::kernels::PackedConvWeights pack_of(nn::Conv2D& conv) {
   return pw;
 }
 
+/// The ISAs the oracle tests pin: every one this build and CPU run but
+/// AVX-512, which has tests of its own so that a log shows whether a host
+/// ran its tiles.
 std::vector<nn::kernels::Isa> isas_under_test() {
-  std::vector<nn::kernels::Isa> isas = {nn::kernels::Isa::kScalar};
-  if (nn::kernels::detected_isa() != nn::kernels::Isa::kScalar) {
-    isas.push_back(nn::kernels::detected_isa());
+  std::vector<nn::kernels::Isa> isas;
+  for (const nn::kernels::Isa isa : nn::kernels::runnable_isas()) {
+    if (isa != nn::kernels::Isa::kAvx512) isas.push_back(isa);
   }
   return isas;
 }
 
-TEST(PackedKernel, MatchesReferenceAtEveryTeamSize) {
-  // The slab driver must give the original im2col driver's bytes for every
-  // shape, epilogue, team size and ISA: the same fma chain per output
-  // element over the same B values, the same +0.0f halo, and no
-  // cross-thread accumulation. Each call gets a fresh workspace, so an
-  // undersized slab reads past its allocation instead of into a larger
-  // buffer a previous shape left behind.
+bool runs_avx512() {
+  const std::vector<nn::kernels::Isa>& isas = nn::kernels::runnable_isas();
+  return std::find(isas.begin(), isas.end(), nn::kernels::Isa::kAvx512) !=
+         isas.end();
+}
+
+/// The slab driver must give the original im2col driver's bytes for every
+/// shape, epilogue, team size and ISA: the same fma chain per output
+/// element over the same B values, the same +0.0f halo, and no
+/// cross-thread accumulation. Each call gets a fresh workspace, so an
+/// undersized slab reads past its allocation instead of into a larger
+/// buffer a previous shape left behind.
+void expect_reference_at_every_team_size(
+    const std::vector<nn::kernels::Isa>& isas) {
   const int old_threads = omp_get_max_threads();
   std::vector<ConvCase> cases(std::begin(kCases), std::end(kCases));
-  cases.insert(cases.end(), std::begin(kEdgeCases), std::end(kEdgeCases));
+  const std::vector<ConvCase> edges = edge_cases();
+  cases.insert(cases.end(), edges.begin(), edges.end());
   std::vector<float> col;
   for (const auto& c : cases) {
     for (const bool residual : {false, true}) {
@@ -225,8 +271,8 @@ TEST(PackedKernel, MatchesReferenceAtEveryTeamSize) {
         Tensor expected(Shape{c.out_c, c.h, c.w});
         args.out = expected.data().data();
         test::reference_packed_conv_forward(pw, args, col);
-        for (const nn::kernels::Isa isa : isas_under_test()) {
-          nn::kernels::set_isa_override(isa);
+        for (const nn::kernels::Isa isa : isas) {
+          pin(isa);
           for (const int team : {1, 2, 3, 4, 8}) {
             SCOPED_TRACE(testing::Message()
                          << "in_c=" << c.in_c << " out_c=" << c.out_c
@@ -249,6 +295,19 @@ TEST(PackedKernel, MatchesReferenceAtEveryTeamSize) {
     }
   }
   omp_set_num_threads(old_threads);
+}
+
+TEST(PackedKernel, MatchesReferenceAtEveryTeamSize) {
+  expect_reference_at_every_team_size(isas_under_test());
+}
+
+TEST(PackedKernel, Avx512MatchesReferenceAtEveryTeamSize) {
+  if (!runs_avx512()) {
+    GTEST_SKIP() << "AVX-512F tiles not runnable here (detected ISA: "
+                 << nn::kernels::isa_name(nn::kernels::detected_isa())
+                 << ")";
+  }
+  expect_reference_at_every_team_size({nn::kernels::Isa::kAvx512});
 }
 
 /// Oracle forward pass: each conv runs the original driver on its packed
@@ -280,11 +339,12 @@ Tensor reference_forward(nn::Network& net, const Tensor& input) {
   return cur;
 }
 
-TEST(PackedKernel, TompsonForwardMatchesReferenceAtTeamsOneAndFour) {
-  // The most accurate ladder model at the served (48²) and solo (128²)
-  // grids, prepacked as served: every layer runs the packed kernel, and
-  // the whole forward pass gives the original driver's bytes on one
-  // thread and on a four-thread team.
+/// The most accurate ladder model at the served (48²) and solo (128²)
+/// grids, prepacked as served: every layer runs the packed kernel, and the
+/// whole forward pass gives the original driver's bytes on one thread and
+/// on a four-thread team, on each of `isas`.
+void expect_tompson_forward_matches_reference(
+    const std::vector<nn::kernels::Isa>& isas) {
   const int old_threads = omp_get_max_threads();
   util::Rng rng(0x7035);
   nn::Network net = modelgen::build_network(modelgen::tompson_spec(8), rng);
@@ -293,14 +353,33 @@ TEST(PackedKernel, TompsonForwardMatchesReferenceAtTeamsOneAndFour) {
   for (const int n : {48, 128}) {
     const Tensor input = random_tensor(Shape{2, n, n}, 0x1280ull + n);
     const Tensor expected = reference_forward(net, input);
-    for (const int team : {1, 4}) {
-      SCOPED_TRACE(testing::Message() << "grid=" << n << " team=" << team);
-      omp_set_num_threads(team);
-      nn::Workspace ws;
-      expect_same_bytes(expected, prepacked.forward_inference(input, ws));
+    for (const nn::kernels::Isa isa : isas) {
+      pin(isa);
+      for (const int team : {1, 4}) {
+        SCOPED_TRACE(testing::Message()
+                     << "grid=" << n << " team=" << team
+                     << " isa=" << nn::kernels::isa_name(isa));
+        omp_set_num_threads(team);
+        nn::Workspace ws;
+        expect_same_bytes(expected, prepacked.forward_inference(input, ws));
+      }
     }
+    nn::kernels::reset_isa_override();
   }
   omp_set_num_threads(old_threads);
+}
+
+TEST(PackedKernel, TompsonForwardMatchesReferenceAtTeamsOneAndFour) {
+  expect_tompson_forward_matches_reference(isas_under_test());
+}
+
+TEST(PackedKernel, Avx512TompsonForwardMatchesReference) {
+  if (!runs_avx512()) {
+    GTEST_SKIP() << "AVX-512F tiles not runnable here (detected ISA: "
+                 << nn::kernels::isa_name(nn::kernels::detected_isa())
+                 << ")";
+  }
+  expect_tompson_forward_matches_reference({nn::kernels::Isa::kAvx512});
 }
 
 TEST(PackedKernel, FusedReluMatchesSeparatePass) {

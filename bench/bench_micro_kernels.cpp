@@ -19,6 +19,7 @@
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/problems.hpp"
+#include "workload/scenes.hpp"
 
 #include <benchmark/benchmark.h>
 #include <omp.h>
@@ -476,6 +477,95 @@ util::Table step_nonsolve_table() {
   return table;
 }
 
+/// A PcgSolver that keeps a copy of the flags and rhs of every solve a
+/// simulation hands it.
+class RecordingSolver final : public fluid::PoissonSolver {
+ public:
+  struct Solve {
+    fluid::FlagGrid flags;
+    fluid::GridF rhs;
+  };
+
+  fluid::SolveStats solve(const fluid::FlagGrid& flags,
+                          const fluid::GridF& rhs,
+                          fluid::GridF* pressure) override {
+    solves_.push_back({flags, rhs});
+    return pcg_.solve(flags, rhs, pressure);
+  }
+  [[nodiscard]] std::string name() const override { return "recording"; }
+  [[nodiscard]] const std::vector<Solve>& solves() const { return solves_; }
+
+ private:
+  fluid::PcgSolver pcg_;
+  std::vector<Solve> solves_;
+};
+
+/// The solves of steps [first, first + count) of `problem` (0-based), as
+/// its simulation handed them to the solver (zero initial guess).
+std::vector<RecordingSolver::Solve> record_solves(
+    const workload::InputProblem& problem, int first, int count) {
+  fluid::SmokeSim sim = workload::make_sim(problem);
+  RecordingSolver recorder;
+  for (int step = 0; step < first + count; ++step) {
+    sim.step(&recorder);
+  }
+  const auto& all = recorder.solves();
+  return {all.begin() + first, all.end()};
+}
+
+/// PCG rows: 128² MIC(0) solves on one thread and on the default team.
+/// "plume_cached" repeats the ninth step's solve of a plume, so the
+/// stencil and factor stay cached; "moving_rebuild" runs the solves of
+/// steps 9-16 of a moving-obstacle scene in turn, so every call's flags
+/// differ from the previous call's and the solve rebuilds both. Each call
+/// starts from a zero guess (the step's default); iterations are per solve.
+util::Table pcg_solve_table() {
+  constexpr int kGrid = 128;
+  constexpr int kFirst = 8;
+  const int team = omp_get_max_threads();
+  workload::ProblemSetParams params;
+  params.grid = kGrid;
+  params.steps = 16;
+  const struct {
+    const char* name;
+    std::vector<RecordingSolver::Solve> solves;
+  } cases[] = {
+      {"plume_cached",
+       record_solves(workload::generate_problems(1, params, 17).front(),
+                     kFirst, 1)},
+      {"moving_rebuild",
+       record_solves(
+           workload::make_scene(workload::SceneFamily::kMovingObstacle, 17,
+                                {kGrid, 16}),
+           kFirst, 8)},
+  };
+  util::Table table({"case", "grid", "threads", "ms_per_solve", "iterations"});
+  for (const auto& c : cases) {
+    for (const int threads : team_widths()) {
+      omp_set_num_threads(threads);
+      fluid::PcgSolver solver;
+      fluid::GridF p(kGrid, kGrid, 0.0f);
+      int iterations = 0;
+      const double sec = time_kernel(
+          [&] {
+            iterations = 0;
+            for (const auto& solve : c.solves) {
+              p.fill(0.0f);
+              iterations += solver.solve(solve.flags, solve.rhs, &p).iterations;
+            }
+            benchmark::DoNotOptimize(p);
+          },
+          1.0);
+      const double per_solve = static_cast<double>(c.solves.size());
+      table.add_row({c.name, std::to_string(kGrid), std::to_string(threads),
+                     util::fmt(sec / per_solve * 1e3, 4),
+                     util::fmt(iterations / per_solve, 4)});
+    }
+  }
+  omp_set_num_threads(team);
+  return table;
+}
+
 void report_conv_sweep(const util::BenchConfig& cfg) {
   const auto rows = run_conv_sweep();
 
@@ -515,6 +605,9 @@ void report_conv_sweep(const util::BenchConfig& cfg) {
   const util::Table step = step_nonsolve_table();
   step.print("SmokeSim::step around a fixed-pressure solver (non-solve work)");
 
+  const util::Table pcg = pcg_solve_table();
+  pcg.print("MIC(0)-PCG solves at 128^2 (cached factor, rebuilt factor)");
+
   util::Table provenance({"detected_isa", "active_isa", "omp_max_threads"});
   provenance.add_row({nn::kernels::isa_name(nn::kernels::detected_isa()),
                       nn::kernels::isa_name(nn::kernels::active_isa()),
@@ -526,6 +619,7 @@ void report_conv_sweep(const util::BenchConfig& cfg) {
                      {"network_forward", &network},
                      {"advection", &advection},
                      {"step_nonsolve", &step},
+                     {"pcg_solve", &pcg},
                      {"provenance", &provenance}});
 }
 

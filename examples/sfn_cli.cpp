@@ -46,7 +46,7 @@ std::map<std::string, std::string> parse_args(int argc, char** argv) {
     }
     const auto eq = arg.find('=');
     if (eq == std::string::npos) {
-      args[arg.substr(2)] = "1";
+      args[arg.substr(2)] = std::string("1");
     } else {
       args[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
     }

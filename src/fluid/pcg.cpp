@@ -1,5 +1,6 @@
 #include "fluid/pcg.hpp"
 
+#include "fluid/pcg_avx2.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
@@ -15,29 +16,26 @@ namespace sfn::fluid {
 
 namespace {
 
-// Stencil bits, one byte per cell. A neighbour bit is set only on a fluid
-// cell whose east (+x), west (-x), north (+y) or south (-y) neighbour is
-// a fluid cell inside the grid, so testing it is also the bounds check for
-// the flat neighbour index: a neighbour is read only when its bit is set.
-constexpr std::uint8_t kFluid = 1;
-constexpr std::uint8_t kEast = 2;
-constexpr std::uint8_t kWest = 4;
-constexpr std::uint8_t kNorth = 8;
-constexpr std::uint8_t kSouth = 16;
+using detail::kEast;
+using detail::kFluid;
+using detail::kNorth;
+using detail::kSouth;
+using detail::kWest;
+using detail::PcgArrays;
+using detail::PcgRowPasses;
 
-// IC/MIC sweeps: each thread owns a band of at least kMinBandRows rows,
-// and sweeps it in column chunks of about kChunkCols. Neither changes a
+// IC/MIC sweeps and factor build: each band holds at least kMinBandRows
+// rows and runs in column chunks of about kChunkCols. Neither changes a
 // single bit of the result, only the speed.
 constexpr int kMinBandRows = 4;
 constexpr int kChunkCols = 8;
-// Rows per parallel task in the dot-product passes: one group of the four
-// rows row_dots advances together.
-constexpr int kDotRows = 4;
 
 /// (A x)(k) on a fluid cell: diagonal times x, then minus the fluid
-/// neighbours in E, W, N, S order.
-inline double apply_a_at(std::uint8_t bits, double diag, const double* x,
-                         std::size_t k, std::size_t nx) {
+/// neighbours in E, W, N, S order. x is the solve's p or s, or the
+/// caller's float guess, whose values p takes exactly.
+template <typename T>
+double apply_a_at(std::uint8_t bits, double diag, const T* x, std::size_t k,
+                  std::size_t nx) {
   double acc = diag * x[k];
   if (bits & kEast) acc -= x[k + 1];
   if (bits & kWest) acc -= x[k - 1];
@@ -46,15 +44,301 @@ inline double apply_a_at(std::uint8_t bits, double diag, const double* x,
   return acc;
 }
 
-/// Flat views of the solver state one IC/MIC sweep touches.
+/// Dot products keep the fixed order of fluid/reduce.hpp: each row is
+/// summed left to right, then the rows are added in ascending order. This
+/// sums columns [i0, nx) of rows [j0, j1) into out[j0, j1), continuing the
+/// sums of columns [0, i0) already there when i0 > 0; term(k) is the
+/// product at fluid cell k. Four rows advance together so that their
+/// addition chains overlap; each row's own order is unchanged.
+template <typename Term>
+void row_dots(const std::uint8_t* stencil, std::size_t nx, int j0, int j1,
+              std::size_t i0, double* out, const Term& term) {
+  auto add = [&](double* acc, std::size_t k) {
+    if (stencil[k] & kFluid) {
+      *acc += term(k);
+    }
+  };
+  const auto start = [&](int j) { return i0 > 0 ? out[j] : 0.0; };
+  int j = j0;
+  for (; j + 4 <= j1; j += 4) {
+    const std::size_t row = static_cast<std::size_t>(j) * nx;
+    double a0 = start(j);
+    double a1 = start(j + 1);
+    double a2 = start(j + 2);
+    double a3 = start(j + 3);
+    for (std::size_t k = row + i0; k < row + nx; ++k) {
+      add(&a0, k);
+      add(&a1, k + nx);
+      add(&a2, k + 2 * nx);
+      add(&a3, k + 3 * nx);
+    }
+    out[j] = a0;
+    out[j + 1] = a1;
+    out[j + 2] = a2;
+    out[j + 3] = a3;
+  }
+  for (; j < j1; ++j) {
+    const std::size_t row = static_cast<std::size_t>(j) * nx;
+    double acc = start(j);
+    for (std::size_t k = row + i0; k < row + nx; ++k) {
+      add(&acc, k);
+    }
+    out[j] = acc;
+  }
+}
+
+double sum_rows(const double* partials, int ny) {
+  double acc = 0.0;
+  for (int j = 0; j < ny; ++j) {
+    acc += partials[j];
+  }
+  return acc;
+}
+
+/// std::max(m, a), except that a NaN `a` replaces m and a NaN m stays, so
+/// a NaN residual term reaches the solve's residual (and stops the solve
+/// unconverged) instead of being dropped. Bit-identical to std::max for
+/// every other pair.
+double max_keeping_nan(double m, double a) {
+  return m < a || std::isnan(a) ? a : m;
+}
+
+/// Max of per-row maxima. Max is order-independent, so the grouping does
+/// not matter; a NaN row maximum makes the result NaN.
+double max_rows(const double* partials, int ny) {
+  double m = 0.0;
+  for (int j = 0; j < ny; ++j) {
+    m = max_keeping_nan(m, partials[j]);
+  }
+  return m;
+}
+
+/// The max |r| a scalar row pass resumes at column i0 of the row starting
+/// at `row`: the vector passes' maximum of columns [0, i0), or, when that
+/// is NaN, the scalar fold of the stored |r| there, which gives a NaN row
+/// the bits the scalar pass gives it.
+double resume_max(const PcgArrays& a, std::size_t row, std::size_t i0,
+                  double vector_max) {
+  if (!std::isnan(vector_max)) {
+    return vector_max;
+  }
+  double m = 0.0;
+  for (std::size_t k = row; k < row + i0; ++k) {
+    if (a.stencil[k] & kFluid) {
+      m = max_keeping_nan(m, std::abs(a.r[k]));
+    }
+  }
+  return m;
+}
+
+// Scalar row passes over columns [i0, nx) of rows [j0, j1). With i0 > 0
+// they finish rows whose first i0 columns the vector passes ran, and
+// continue those columns' partials.
+
+/// as = A s, with the rows' sums of s·as in partial.
+void apply_a_rows(const PcgArrays& a, int j0, int j1, std::size_t i0,
+                  double* partial) {
+  const auto nx = static_cast<std::size_t>(a.nx);
+  for (int j = j0; j < j1; ++j) {
+    const std::size_t row = static_cast<std::size_t>(j) * nx;
+    for (std::size_t k = row + i0; k < row + nx; ++k) {
+      const std::uint8_t bits = a.stencil[k];
+      if (bits & kFluid) {
+        a.as[k] = apply_a_at(bits, a.diag[k], a.s, k, nx);
+      }
+    }
+  }
+  row_dots(a.stencil, nx, j0, j1, i0, partial,
+           [&](std::size_t k) { return a.s[k] * a.as[k]; });
+}
+
+/// p += alpha s and r -= alpha as, with the rows' max |r| in partial.
+void update_pr_rows(const PcgArrays& a, double alpha, int j0, int j1,
+                    std::size_t i0, double* partial) {
+  const auto nx = static_cast<std::size_t>(a.nx);
+  for (int j = j0; j < j1; ++j) {
+    const std::size_t row = static_cast<std::size_t>(j) * nx;
+    double m = i0 > 0 ? resume_max(a, row, i0, partial[j]) : 0.0;
+    for (std::size_t k = row + i0; k < row + nx; ++k) {
+      if (!(a.stencil[k] & kFluid)) {
+        continue;
+      }
+      a.p[k] += alpha * a.s[k];
+      a.r[k] -= alpha * a.as[k];
+      m = max_keeping_nan(m, std::abs(a.r[k]));
+    }
+    partial[j] = m;
+  }
+}
+
+/// s = z + beta s.
+void update_s_rows(const PcgArrays& a, double beta, int j0, int j1,
+                   std::size_t i0) {
+  const auto nx = static_cast<std::size_t>(a.nx);
+  for (int j = j0; j < j1; ++j) {
+    const std::size_t row = static_cast<std::size_t>(j) * nx;
+    for (std::size_t k = row + i0; k < row + nx; ++k) {
+      if (a.stencil[k] & kFluid) {
+        a.s[k] = a.z[k] + beta * a.s[k];
+      }
+    }
+  }
+}
+
+/// p = the guess on fluid cells (0 elsewhere) and r = b - A p, with the
+/// rows' max |r| in partial. A p reads the guess itself, so the pass needs
+/// no other row's p.
+void residual_rows(const PcgArrays& a, const float* b, const float* guess,
+                   int j0, int j1, std::size_t i0, double* partial) {
+  const auto nx = static_cast<std::size_t>(a.nx);
+  for (int j = j0; j < j1; ++j) {
+    const std::size_t row = static_cast<std::size_t>(j) * nx;
+    double m = i0 > 0 ? resume_max(a, row, i0, partial[j]) : 0.0;
+    for (std::size_t k = row + i0; k < row + nx; ++k) {
+      const std::uint8_t bits = a.stencil[k];
+      if (!(bits & kFluid)) {
+        a.p[k] = 0.0;
+        continue;
+      }
+      a.p[k] = guess[k];
+      a.r[k] = b[k] - apply_a_at(bits, a.diag[k], guess, k, nx);
+      m = max_keeping_nan(m, std::abs(a.r[k]));
+    }
+    partial[j] = m;
+  }
+}
+
+/// The AVX2 row passes when this build has them and this CPU runs them
+/// (cpuid, tested once), else null: every row then runs on the scalar
+/// passes above.
+const PcgRowPasses* vector_passes() {
+#if defined(__x86_64__) && !defined(SFN_FORCE_SCALAR_KERNELS)
+  static const PcgRowPasses* const passes =
+      __builtin_cpu_supports("avx2") ? detail::avx2_pcg_row_passes()
+                                     : nullptr;
+  return passes;
+#else
+  return nullptr;
+#endif
+}
+
+/// Splits a row pass over rows [j0, j1): vector(v0, v1) runs the first
+/// 4 * (nx / 4) columns of the interior rows [v0, v1) among them (the
+/// vector passes' bounds), and scalar(ja, jb, i0) runs columns [i0, nx) of
+/// everything else: those rows' last nx mod 4 columns (and their NaN row
+/// maxima), and rows 0 and ny - 1 whole. Without vector passes, scalar
+/// runs every row.
+template <typename Vector, typename Scalar>
+void split_rows(bool vector_rows, int nx, int ny, int j0, int j1,
+                const Vector& vector, const Scalar& scalar) {
+  const int cols = vector_rows ? nx / 4 * 4 : 0;
+  const int v0 = std::max(j0, 1);
+  const int v1 = std::min(j1, ny - 1);
+  if (cols == 0 || v0 >= v1) {
+    scalar(j0, j1, std::size_t{0});
+    return;
+  }
+  scalar(j0, v0, std::size_t{0});
+  vector(v0, v1);
+  scalar(v0, v1, static_cast<std::size_t>(cols));
+  scalar(v1, j1, std::size_t{0});
+}
+
+/// The stencil bits and A's diagonal of rows [j0, j1), from the cell
+/// bytes; a position outside the grid counts as solid, as in
+/// FlagGrid::is_solid. Also writes the preconditioner of those rows when
+/// it is cell-local: 1/diag (Jacobi) or 0 (none).
+void stencil_rows(const CellType* cells, int nx, int ny, int j0, int j1,
+                  Preconditioner pre, std::uint8_t* stencil, double* diag,
+                  double* precond) {
+  const bool local = pre == Preconditioner::kNone ||
+                     pre == Preconditioner::kJacobi;
+  for (int j = j0; j < j1; ++j) {
+    const std::size_t row = static_cast<std::size_t>(j) * nx;
+    for (int i = 0; i < nx; ++i) {
+      const std::size_t k = row + i;
+      if (cells[k] != CellType::kFluid) {
+        stencil[k] = 0;
+        diag[k] = 0.0;
+        if (local) {
+          precond[k] = 0.0;
+        }
+        continue;
+      }
+      std::uint8_t bits = kFluid;
+      int open = 0;
+      const auto neighbour = [&](bool inside, std::size_t n,
+                                 std::uint8_t bit) {
+        if (inside) {
+          bits |= cells[n] == CellType::kFluid ? bit : 0;
+          open += is_solid_type(cells[n]) ? 0 : 1;
+        }
+      };
+      neighbour(i + 1 < nx, k + 1, kEast);
+      neighbour(i > 0, k - 1, kWest);
+      neighbour(j + 1 < ny, k + nx, kNorth);
+      neighbour(j > 0, k - nx, kSouth);
+      stencil[k] = bits;
+      const double d = open;
+      diag[k] = d;
+      if (pre == Preconditioner::kJacobi) {
+        precond[k] = d > 0.0 ? 1.0 / d : 0.0;
+      } else if (pre == Preconditioner::kNone) {
+        precond[k] = 0.0;
+      }
+    }
+  }
+}
+
+/// Flat views of the solver state one IC/MIC sweep or factor block
+/// touches.
 struct SweepData {
   std::size_t nx;
   const std::uint8_t* stencil;
-  const double* precond;
+  const double* diag;
+  double* precond;
   const double* r;
   double* q;
   float* z;
+  double tau;    ///< MIC(0) blend; 0 for IC(0).
+  double sigma;  ///< Safety clamp of the modified diagonal.
 };
+
+/// The IC/MIC factor on rows [j0, j1) and columns [i0, i1), in ascending
+/// order: precond stores 1/sqrt of the modified diagonal, 0 off fluid.
+void factor_block(const SweepData& d, int j0, int j1, int i0, int i1) {
+  for (int j = j0; j < j1; ++j) {
+    const std::size_t row = static_cast<std::size_t>(j) * d.nx;
+    for (int i = i0; i < i1; ++i) {
+      const std::size_t k = row + i;
+      const std::uint8_t bits = d.stencil[k];
+      if (!(bits & kFluid)) {
+        d.precond[k] = 0.0;
+        continue;
+      }
+      const double adiag = d.diag[k];
+      double e = adiag;
+      if (bits & kWest) {
+        const double px = d.precond[k - 1];  // -1 * px is the L entry.
+        e -= px * px;
+        if (d.tau > 0.0 && (d.stencil[k - 1] & kNorth)) {
+          e -= d.tau * (px * px);
+        }
+      }
+      if (bits & kSouth) {
+        const double py = d.precond[k - d.nx];
+        e -= py * py;
+        if (d.tau > 0.0 && (d.stencil[k - d.nx] & kEast)) {
+          e -= d.tau * (py * py);
+        }
+      }
+      if (e < d.sigma * adiag) {
+        e = adiag;  // Safety fallback keeps the factor positive definite.
+      }
+      d.precond[k] = e > 0.0 ? 1.0 / std::sqrt(e) : 0.0;
+    }
+  }
+}
 
 /// Forward solve L q = r over rows [j0, j1) and columns [i0, i1), in
 /// ascending order. L has unit off-diagonals times the factor; r is
@@ -96,259 +380,67 @@ void backward_block(const SweepData& d, int j0, int j1, int i0, int i1) {
   }
 }
 
-/// Dot products keep the fixed order of fluid/reduce.hpp: each row is
-/// summed left to right, then the rows are added in ascending order. This
-/// writes the partials of rows [j0, j1) to out[j0, j1); term(k) is the
-/// product at fluid cell k. Four rows advance together so that their
-/// addition chains overlap; each row's own order is unchanged.
-template <typename Term>
-void row_dots(const std::uint8_t* stencil, std::size_t nx, int j0, int j1,
-              double* out, const Term& term) {
-  auto add = [&](double* acc, std::size_t k) {
-    if (stencil[k] & kFluid) {
-      *acc += term(k);
-    }
-  };
-  int j = j0;
-  for (; j + 4 <= j1; j += 4) {
-    const std::size_t row = static_cast<std::size_t>(j) * nx;
-    double a0 = 0.0;
-    double a1 = 0.0;
-    double a2 = 0.0;
-    double a3 = 0.0;
-    for (std::size_t k = row; k < row + nx; ++k) {
-      add(&a0, k);
-      add(&a1, k + nx);
-      add(&a2, k + 2 * nx);
-      add(&a3, k + 3 * nx);
-    }
-    out[j] = a0;
-    out[j + 1] = a1;
-    out[j + 2] = a2;
-    out[j + 3] = a3;
-  }
-  for (; j < j1; ++j) {
-    const std::size_t row = static_cast<std::size_t>(j) * nx;
-    double acc = 0.0;
-    for (std::size_t k = row; k < row + nx; ++k) {
-      add(&acc, k);
-    }
-    out[j] = acc;
-  }
-}
+/// The row bands of the pipelined sweeps and factor build. Band b owns
+/// rows [b*ny/bands, (b+1)*ny/bands) and runs them one column chunk at a
+/// time; short rows also let consecutive rows' latency chains overlap, so
+/// even a single band runs this way. Forward, cell (i, j) needs (i-1, j)
+/// and (i, j-1): band b starts chunk c once band b-1 has published chunk
+/// c. Backward mirrors it from the top band down and from the right.
+///
+/// Thread t of the team runs bands t, t + team, ... in pipeline order, so
+/// a team smaller than `bands` (a nested region, say) still completes: the
+/// lowest (highest, backward) unfinished band only ever waits on a
+/// finished one. Threads beyond `bands` have no band. The counts grow
+/// through the whole solve: a sweep starting at `base` publishes base + 1
+/// .. base + chunks, so the handoffs are reset once, before the team
+/// starts.
+struct BandPipeline {
+  int nx;
+  int ny;
+  int bands;
+  int chunks;
+  ChunkHandoff* handoff;
 
-double sum_rows(const double* partials, int ny) {
-  double acc = 0.0;
-  for (int j = 0; j < ny; ++j) {
-    acc += partials[j];
-  }
-  return acc;
-}
+  [[nodiscard]] int row(int b) const { return b * ny / bands; }
+  [[nodiscard]] int col(int c) const { return c * nx / chunks; }
 
-/// std::max(m, a), except that a NaN `a` replaces m and a NaN m stays, so
-/// a NaN residual term reaches the solve's residual (and stops the solve
-/// unconverged) instead of being dropped. Bit-identical to std::max for
-/// every other pair.
-double max_keeping_nan(double m, double a) {
-  return m < a || std::isnan(a) ? a : m;
-}
-
-/// Max of per-row maxima. Max is order-independent, so the grouping does
-/// not matter; a NaN row maximum makes the result NaN.
-double max_rows(const double* partials, int ny) {
-  double m = 0.0;
-  for (int j = 0; j < ny; ++j) {
-    m = max_keeping_nan(m, partials[j]);
+  template <typename Block>
+  void forward(int t, int team, std::uint64_t base, const Block& block) const {
+    for (int b = t; b < bands; b += team) {
+      for (int c = 0; c < chunks; ++c) {
+        const std::uint64_t done = base + static_cast<std::uint64_t>(c) + 1;
+        if (b > 0) {
+          handoff[b - 1].wait_for(done);
+        }
+        block(row(b), row(b + 1), col(c), col(c + 1));
+        handoff[b].publish(done);
+      }
+    }
   }
-  return m;
-}
+
+  /// Runs band_done(j0, j1) after each of its bands.
+  template <typename Block, typename BandDone>
+  void backward(int t, int team, std::uint64_t base, const Block& block,
+                const BandDone& band_done) const {
+    if (t >= bands) {
+      return;
+    }
+    for (int b = t + (bands - 1 - t) / team * team; b >= 0; b -= team) {
+      for (int c = chunks - 1; c >= 0; --c) {
+        const std::uint64_t done =
+            base + static_cast<std::uint64_t>(chunks - c);
+        if (b + 1 < bands) {
+          handoff[b + 1].wait_for(done);
+        }
+        block(row(b), row(b + 1), col(c), col(c + 1));
+        handoff[b].publish(done);
+      }
+      band_done(row(b), row(b + 1));
+    }
+  }
+};
 
 }  // namespace
-
-void PcgSolver::build_stencil() {
-  const FlagGrid& flags = cached_flags_;
-  const int nx = flags.nx();
-  const int ny = flags.ny();
-  const auto cells = static_cast<std::size_t>(nx) * ny;
-  stencil_.resize(cells);
-  diag_.resize(cells);
-  for (int j = 0; j < ny; ++j) {
-    for (int i = 0; i < nx; ++i) {
-      const std::size_t k = static_cast<std::size_t>(j) * nx + i;
-      if (!flags.is_fluid(i, j)) {
-        stencil_[k] = 0;
-        diag_[k] = 0.0;
-        continue;
-      }
-      std::uint8_t bits = kFluid;
-      if (flags.is_fluid(i + 1, j)) bits |= kEast;
-      if (flags.is_fluid(i - 1, j)) bits |= kWest;
-      if (flags.is_fluid(i, j + 1)) bits |= kNorth;
-      if (flags.is_fluid(i, j - 1)) bits |= kSouth;
-      stencil_[k] = bits;
-      double diag = 0.0;
-      if (!flags.is_solid(i + 1, j)) diag += 1.0;
-      if (!flags.is_solid(i - 1, j)) diag += 1.0;
-      if (!flags.is_solid(i, j + 1)) diag += 1.0;
-      if (!flags.is_solid(i, j - 1)) diag += 1.0;
-      diag_[k] = diag;
-    }
-  }
-}
-
-void PcgSolver::build_preconditioner() {
-  const std::size_t nx = cached_flags_.nx();
-  const std::size_t cells = stencil_.size();
-  precond_.assign(cells, 0.0);
-  if (params_.preconditioner == Preconditioner::kNone) {
-    return;
-  }
-  if (params_.preconditioner == Preconditioner::kJacobi) {
-    for (std::size_t k = 0; k < cells; ++k) {
-      if (stencil_[k] & kFluid) {
-        const double d = diag_[k];
-        precond_[k] = d > 0.0 ? 1.0 / d : 0.0;
-      }
-    }
-    return;
-  }
-
-  // Incomplete Cholesky: precond stores 1/sqrt of the modified diagonal.
-  const double tau =
-      params_.preconditioner == Preconditioner::kMIC0 ? params_.mic_tau : 0.0;
-  for (std::size_t k = 0; k < cells; ++k) {
-    const std::uint8_t bits = stencil_[k];
-    if (!(bits & kFluid)) {
-      continue;
-    }
-    const double adiag = diag_[k];
-    double e = adiag;
-    if (bits & kWest) {
-      const double px = precond_[k - 1];  // -1 * px is the L entry.
-      e -= px * px;
-      if (tau > 0.0 && (stencil_[k - 1] & kNorth)) {
-        e -= tau * (px * px);
-      }
-    }
-    if (bits & kSouth) {
-      const double py = precond_[k - nx];
-      e -= py * py;
-      if (tau > 0.0 && (stencil_[k - nx] & kEast)) {
-        e -= tau * (py * py);
-      }
-    }
-    if (e < params_.mic_sigma * adiag) {
-      e = adiag;  // Safety fallback keeps the factor positive definite.
-    }
-    precond_[k] = e > 0.0 ? 1.0 / std::sqrt(e) : 0.0;
-  }
-}
-
-double PcgSolver::precondition() {
-  if (params_.preconditioner == Preconditioner::kIC0 ||
-      params_.preconditioner == Preconditioner::kMIC0) {
-    return precondition_ic();
-  }
-  const std::size_t nx = cached_flags_.nx();
-  const int ny = cached_flags_.ny();
-  const bool jacobi = params_.preconditioner == Preconditioner::kJacobi;
-  const std::uint8_t* const stencil = stencil_.data();
-  const double* const precond = precond_.data();
-  const double* const r = r_.data();
-  float* const z = z_.data();
-  double* const row_partial = row_partial_.data();
-  util::for_rows((ny + kDotRows - 1) / kDotRows, [&](int g) {
-    const int j0 = g * kDotRows;
-    const int j1 = std::min(ny, j0 + kDotRows);
-    for (std::size_t k = j0 * nx; k < j1 * nx; ++k) {
-      if (stencil[k] & kFluid) {
-        const float rf = static_cast<float>(r[k]);
-        z[k] = jacobi ? static_cast<float>(rf * precond[k]) : rf;
-      }
-    }
-    row_dots(stencil, nx, j0, j1, row_partial, [&](std::size_t k) {
-      return static_cast<double>(z[k]) * r[k];
-    });
-  });
-  return sum_rows(row_partial, ny);
-}
-
-double PcgSolver::precondition_ic() {
-  const int nx = cached_flags_.nx();
-  const int ny = cached_flags_.ny();
-  const SweepData d{static_cast<std::size_t>(nx), stencil_.data(),
-                    precond_.data(), r_.data(),       q_.data(),
-                    z_.data()};
-  const int bands = std::clamp(ny / kMinBandRows, 1, omp_get_max_threads());
-  const int chunks = std::max(1, (nx + kChunkCols - 1) / kChunkCols);
-  if (handoffs_.size() < static_cast<std::size_t>(bands)) {
-    handoffs_ = std::vector<ChunkHandoff>(static_cast<std::size_t>(bands));
-  }
-  ChunkHandoff* const handoff = handoffs_.data();
-  for (int b = 0; b < bands; ++b) {
-    handoff[b].reset();
-  }
-  double* const row_partial = row_partial_.data();
-
-  // Band b owns rows [b*ny/bands, (b+1)*ny/bands) and sweeps them one
-  // column chunk at a time; short rows also let consecutive rows' latency
-  // chains overlap, so even a single band runs this way. Forward, cell
-  // (i, j) needs (i-1, j) and (i, j-1): band b starts chunk c once band
-  // b-1 has published chunk c. Backward mirrors it from the top band down
-  // and from the right. A band's forward sweep publishes counts 1 ..
-  // chunks, its backward sweep the next `chunks`.
-  auto forward_band = [&](int b) {
-    const int j0 = b * ny / bands;
-    const int j1 = (b + 1) * ny / bands;
-    for (int c = 0; c < chunks; ++c) {
-      const auto done = static_cast<std::uint32_t>(c + 1);
-      if (b > 0) {
-        handoff[b - 1].wait_for(done);
-      }
-      forward_block(d, j0, j1, c * nx / chunks, (c + 1) * nx / chunks);
-      handoff[b].publish(done);
-    }
-  };
-  auto backward_band = [&](int b) {
-    const int j0 = b * ny / bands;
-    const int j1 = (b + 1) * ny / bands;
-    for (int c = chunks - 1; c >= 0; --c) {
-      const auto done = static_cast<std::uint32_t>(2 * chunks - c);
-      if (b + 1 < bands) {
-        handoff[b + 1].wait_for(done);
-      }
-      backward_block(d, j0, j1, c * nx / chunks, (c + 1) * nx / chunks);
-      handoff[b].publish(done);
-    }
-    row_dots(d.stencil, d.nx, j0, j1, row_partial, [&](std::size_t k) {
-      return static_cast<double>(d.z[k]) * d.r[k];
-    });
-  };
-
-  if (bands == 1) {
-    forward_band(0);
-    backward_band(0);
-  } else {
-    // The region keeps the team size of the solver's other regions
-    // (switching sizes makes libgomp park and wake threads); threads
-    // beyond `bands` have no band. A thread runs its bands in pipeline
-    // order, so a team smaller than `bands` (a nested region, say) still
-    // completes: the lowest (highest, backward) unfinished band only
-    // ever waits on a finished one.
-    util::on_team([&](int first, int team) {
-      for (int b = first; b < bands; b += team) {
-        forward_band(b);
-      }
-      if (first < bands) {
-        for (int b = first + (bands - 1 - first) / team * team; b >= 0;
-             b -= team) {
-          backward_band(b);
-        }
-      }
-    });
-  }
-  return sum_rows(row_partial, ny);
-}
 
 SolveStats PcgSolver::solve(const FlagGrid& flags, const GridF& rhs,
                             GridF* pressure) {
@@ -374,57 +466,213 @@ SolveStats PcgSolver::solve(const FlagGrid& flags, const GridF& rhs,
   SFN_CHECK_FINITE(pressure->data().data(), pressure->size(),
                    "PcgSolver::solve initial pressure guess");
 
-  if (!stencil_valid_ || !(cached_flags_ == flags)) {
+  // Every buffer is sized here, on the calling thread: the first solve at
+  // a resolution allocates, later ones reuse (resize to the current size
+  // allocates nothing). The team below allocates nothing.
+  const bool rebuild = !stencil_valid_ || !(cached_flags_ == flags);
+  if (rebuild) {
     cached_flags_ = flags;
-    build_stencil();
-    build_preconditioner();
     stencil_valid_ = true;
     precond_builds.add();
     stats.flops += cells * 12;
   }
-
-  // The first solve at a resolution sizes the vectors; later ones reuse
-  // them (resize to the current size allocates nothing).
   const std::size_t n = cells;
+  stencil_.resize(n);
+  diag_.resize(n);
+  precond_.resize(n);
   p_.resize(n);
   r_.resize(n);
   s_.resize(n);
   as_.resize(n);
   q_.resize(n);
   z_.resize(n);
-  row_partial_.resize(static_cast<std::size_t>(ny));
-  const std::size_t stride = nx;
-  const std::uint8_t* const stencil = stencil_.data();
-  const double* const diag = diag_.data();
-  double* const p = p_.data();
-  double* const r = r_.data();
-  double* const s = s_.data();
-  double* const as = as_.data();
-  const float* const z = z_.data();
-  double* const row_partial = row_partial_.data();
-  const int groups = (ny + kDotRows - 1) / kDotRows;
+  row_dot_.resize(static_cast<std::size_t>(ny));
+  row_max_.resize(static_cast<std::size_t>(ny));
+  const int max_bands = std::max(1, omp_get_max_threads());
+  if (handoffs_.size() < static_cast<std::size_t>(max_bands)) {
+    handoffs_ = std::vector<ChunkHandoff>(static_cast<std::size_t>(max_bands));
+  }
+  for (ChunkHandoff& handoff : handoffs_) {
+    handoff.reset();
+  }
+
+  const Preconditioner pre = params_.preconditioner;
+  const bool ic = pre == Preconditioner::kIC0 || pre == Preconditioner::kMIC0;
+  const PcgArrays a{nx,        ny,        stencil_.data(), diag_.data(),
+                    p_.data(), r_.data(), s_.data(),       as_.data(),
+                    z_.data()};
+  const SweepData sweep{static_cast<std::size_t>(nx),
+                        stencil_.data(),
+                        diag_.data(),
+                        precond_.data(),
+                        r_.data(),
+                        q_.data(),
+                        z_.data(),
+                        pre == Preconditioner::kMIC0 ? params_.mic_tau : 0.0,
+                        params_.mic_sigma};
+  const BandPipeline pipeline{
+      nx, ny, std::clamp(ny / kMinBandRows, 1, max_bands),
+      std::max(1, (nx + kChunkCols - 1) / kChunkCols), handoffs_.data()};
+  const PcgRowPasses* const vec = vector_passes();
+  const CellType* const cell_bytes = cached_flags_.cells();
   const float* const b = rhs.data().data();
   float* const out = pressure->data().data();
+  double* const row_dot = row_dot_.data();
+  double* const row_max = row_max_.data();
+  const double* const precond = precond_.data();
+  const double tolerance = params_.tolerance;
+  const int max_iterations = params_.max_iterations;
 
-  // r = b - A p0 with the caller's pressure as the initial guess.
-  for (std::size_t k = 0; k < n; ++k) {
-    p[k] = (stencil[k] & kFluid) ? out[k] : 0.0;
-  }
-  util::for_rows(ny, [&](int j) {
-    const std::size_t row = static_cast<std::size_t>(j) * stride;
-    double m = 0.0;
-    for (std::size_t k = row; k < row + stride; ++k) {
-      const std::uint8_t bits = stencil[k];
-      if (!(bits & kFluid)) {
-        continue;
+  // What thread 0 reports once the team has joined.
+  bool early = false;
+  bool converged = false;
+  int iter = 0;
+  double residual = 0.0;
+
+  // One team for the whole solve. Every flat pass gives thread t the same
+  // rows [t*ny/team, (t+1)*ny/team); the sweeps and the factor build run
+  // on the band pipeline. A barrier separates a pass from the next one
+  // that reads another thread's rows. Every thread sums the row partials
+  // itself, in the same fixed order, so all of them reach the same alpha,
+  // beta and stop decisions with no broadcast. Dot products and residual
+  // maxima go to separate partials, so a thread that has moved on to the
+  // next pass never overwrites partials another thread is still summing.
+  util::on_team([&](int t, int team) {
+    const int j0 = t * ny / team;
+    const int j1 = (t + 1) * ny / team;
+    const auto sync = [&] { barrier_.arrive_and_wait(team); };
+    std::uint64_t clock = 0;  // Pipeline count reached so far.
+    const auto row_pass = [&](const auto& vector, const auto& scalar) {
+      split_rows(vec != nullptr, nx, ny, j0, j1, vector, scalar);
+    };
+
+    if (rebuild) {
+      stencil_rows(cell_bytes, nx, ny, j0, j1, pre, stencil_.data(),
+                   diag_.data(), precond_.data());
+      if (ic) {
+        sync();
+        pipeline.forward(t, team, clock,
+                         [&](int r0, int r1, int c0, int c1) {
+                           factor_block(sweep, r0, r1, c0, c1);
+                         });
+        clock += static_cast<std::uint64_t>(pipeline.chunks);
       }
-      r[k] = b[k] - apply_a_at(bits, diag[k], p, k, stride);
-      m = max_keeping_nan(m, std::abs(r[k]));
     }
-    row_partial[j] = m;
+
+    // z = M^-1 r on the whole grid; returns z.r, the same on every thread.
+    const auto precondition = [&]() {
+      if (ic) {
+        pipeline.forward(t, team, clock, [&](int r0, int r1, int c0, int c1) {
+          forward_block(sweep, r0, r1, c0, c1);
+        });
+        clock += static_cast<std::uint64_t>(pipeline.chunks);
+        pipeline.backward(
+            t, team, clock,
+            [&](int r0, int r1, int c0, int c1) {
+              backward_block(sweep, r0, r1, c0, c1);
+            },
+            [&](int r0, int r1) {
+              row_dots(a.stencil, a.nx, r0, r1, 0, row_dot,
+                       [&](std::size_t k) {
+                         return static_cast<double>(a.z[k]) * a.r[k];
+                       });
+            });
+        clock += static_cast<std::uint64_t>(pipeline.chunks);
+      } else {
+        const bool jacobi = pre == Preconditioner::kJacobi;
+        for (std::size_t k = static_cast<std::size_t>(j0) * nx;
+             k < static_cast<std::size_t>(j1) * nx; ++k) {
+          if (a.stencil[k] & kFluid) {
+            const float rf = static_cast<float>(a.r[k]);
+            a.z[k] = jacobi ? static_cast<float>(rf * precond[k]) : rf;
+          }
+        }
+        row_dots(a.stencil, a.nx, j0, j1, 0, row_dot, [&](std::size_t k) {
+          return static_cast<double>(a.z[k]) * a.r[k];
+        });
+      }
+      sync();
+      return sum_rows(row_dot, ny);
+    };
+
+    // r = b - A p0 with the caller's pressure as the initial guess.
+    row_pass(
+        [&](int v0, int v1) { vec->residual(a, b, out, v0, v1, row_max); },
+        [&](int r0, int r1, std::size_t i0) {
+          residual_rows(a, b, out, r0, r1, i0, row_max);
+        });
+    sync();
+    double res = max_rows(row_max, ny);
+    if (res <= tolerance) {
+      if (t == 0) {
+        early = true;
+        residual = res;
+      }
+      return;
+    }
+
+    double sigma = precondition();
+    for (std::size_t k = static_cast<std::size_t>(j0) * nx;
+         k < static_cast<std::size_t>(j1) * nx; ++k) {
+      if (a.stencil[k] & kFluid) {
+        a.s[k] = a.z[k];
+      }
+    }
+
+    int it = 0;
+    bool done = false;
+    for (; it < max_iterations; ++it) {
+      sync();
+      // as = A s, fused with the dot product s.as.
+      row_pass(
+          [&](int v0, int v1) { vec->apply_a(a, v0, v1, row_dot); },
+          [&](int r0, int r1, std::size_t i0) {
+            apply_a_rows(a, r0, r1, i0, row_dot);
+          });
+      sync();
+      const double s_as = sum_rows(row_dot, ny);
+      if (s_as == 0.0) {
+        break;
+      }
+      const double alpha = sigma / s_as;
+      row_pass(
+          [&](int v0, int v1) { vec->update_pr(a, alpha, v0, v1, row_max); },
+          [&](int r0, int r1, std::size_t i0) {
+            update_pr_rows(a, alpha, r0, r1, i0, row_max);
+          });
+      sync();
+      res = max_rows(row_max, ny);
+      if (res <= tolerance) {
+        ++it;
+        done = true;
+        break;
+      }
+      if (std::isnan(res)) {
+        ++it;
+        break;
+      }
+      const double sigma_new = precondition();
+      const double beta = sigma_new / sigma;
+      sigma = sigma_new;
+      row_pass([&](int v0, int v1) { vec->update_s(a, beta, v0, v1); },
+               [&](int r0, int r1, std::size_t i0) {
+                 update_s_rows(a, beta, r0, r1, i0);
+               });
+    }
+
+    // Each thread writes back the rows whose p it updated.
+    for (std::size_t k = static_cast<std::size_t>(j0) * nx;
+         k < static_cast<std::size_t>(j1) * nx; ++k) {
+      out[k] = (a.stencil[k] & kFluid) ? static_cast<float>(a.p[k]) : 0.0f;
+    }
+    if (t == 0) {
+      converged = done;
+      iter = it;
+      residual = res;
+    }
   });
-  double residual = max_rows(row_partial, ny);
-  if (residual <= params_.tolerance) {
+
+  if (early) {
     stats.converged = true;
     stats.residual = residual;
     stats.seconds = timer.seconds();
@@ -432,76 +680,10 @@ SolveStats PcgSolver::solve(const FlagGrid& flags, const GridF& rhs,
     return stats;
   }
 
-  double sigma = precondition();
-  for (std::size_t k = 0; k < n; ++k) {
-    if (stencil[k] & kFluid) {
-      s[k] = z[k];
-    }
-  }
-
-  int iter = 0;
-  for (; iter < params_.max_iterations; ++iter) {
-    // as = A s, fused with the dot product s.as.
-    util::for_rows(groups, [&](int g) {
-      const int j0 = g * kDotRows;
-      const int j1 = std::min(ny, j0 + kDotRows);
-      for (std::size_t k = j0 * stride; k < j1 * stride; ++k) {
-        const std::uint8_t bits = stencil[k];
-        if (bits & kFluid) {
-          as[k] = apply_a_at(bits, diag[k], s, k, stride);
-        }
-      }
-      row_dots(stencil, stride, j0, j1, row_partial,
-               [&](std::size_t k) { return s[k] * as[k]; });
-    });
-    const double s_as = sum_rows(row_partial, ny);
-    if (s_as == 0.0) {
-      break;
-    }
-    const double alpha = sigma / s_as;
-    util::for_rows(ny, [&](int j) {
-      const std::size_t row = static_cast<std::size_t>(j) * stride;
-      double m = 0.0;
-      for (std::size_t k = row; k < row + stride; ++k) {
-        if (!(stencil[k] & kFluid)) {
-          continue;
-        }
-        p[k] += alpha * s[k];
-        r[k] -= alpha * as[k];
-        m = max_keeping_nan(m, std::abs(r[k]));
-      }
-      row_partial[j] = m;
-    });
-    residual = max_rows(row_partial, ny);
-    if (residual <= params_.tolerance) {
-      ++iter;
-      stats.converged = true;
-      break;
-    }
-    if (std::isnan(residual)) {
-      ++iter;
-      break;
-    }
-    const double sigma_new = precondition();
-    const double beta = sigma_new / sigma;
-    sigma = sigma_new;
-    util::for_rows(ny, [&](int j) {
-      const std::size_t row = static_cast<std::size_t>(j) * stride;
-      for (std::size_t k = row; k < row + stride; ++k) {
-        if (stencil[k] & kFluid) {
-          s[k] = z[k] + beta * s[k];
-        }
-      }
-    });
-  }
-
-  for (std::size_t k = 0; k < n; ++k) {
-    out[k] = (stencil[k] & kFluid) ? static_cast<float>(p[k]) : 0.0f;
-  }
-
   SFN_CHECK_FINITE(pressure->data().data(), pressure->size(),
                    "PcgSolver::solve pressure result");
 
+  stats.converged = converged;
   stats.iterations = iter;
   stats.residual = residual;
   iterations.add(static_cast<std::uint64_t>(iter));

@@ -30,13 +30,16 @@ struct PcgParams {
 /// Preconditioned conjugate gradients on the flag-aware pressure Laplacian.
 ///
 /// The 5-point stencil is cached per cell (one byte of fluid-neighbour bits
-/// plus the A diagonal) together with the IC/MIC factor, and both are
-/// rebuilt only when the flag grid changes. The IC/MIC triangular sweeps
-/// run as a pipeline over row bands when the calling thread may use more
-/// than one OpenMP thread; every cell evaluates the same expression on
-/// the same neighbour values whatever the team size, and the dot products
-/// keep the fixed order of fluid/reduce.hpp, so a solve returns the same
-/// bits under any OMP_NUM_THREADS.
+/// plus the A diagonal) together with the preconditioner, and both are
+/// rebuilt only when the flag grid changes. A solve runs in one OpenMP
+/// team: the rebuild, the initial residual, every iteration and the
+/// write-back, with a TeamBarrier between passes. The flat passes give
+/// each thread the same rows throughout (on an AVX2 CPU they run four
+/// cells per instruction); the IC/MIC factor build and triangular sweeps
+/// run as a pipeline over row bands. Every cell evaluates the same
+/// expression on the same neighbour values whatever the team size or ISA,
+/// and the dot products keep the fixed order of fluid/reduce.hpp, so a
+/// solve returns the same bits under any OMP_NUM_THREADS.
 class PcgSolver final : public PoissonSolver {
  public:
   explicit PcgSolver(PcgParams params = {}) : params_(params) {}
@@ -48,19 +51,24 @@ class PcgSolver final : public PoissonSolver {
 
   [[nodiscard]] const PcgParams& params() const { return params_; }
 
- private:
-  void build_stencil();
-  void build_preconditioner();
-  /// z = M^-1 r; returns the dot product z.r.
-  double precondition();
-  double precondition_ic();
+  /// The cache the last solve used, for tests that compare it with a
+  /// serial build: per-cell stencil bits (fluid 1, east 2, west 4, north
+  /// 8, south 16), the A diagonal and the preconditioner diagonal (IC/MIC
+  /// factor diag^(-1/2), the Jacobi inverse diagonal, or 0).
+  [[nodiscard]] const std::vector<std::uint8_t>& stencil() const {
+    return stencil_;
+  }
+  [[nodiscard]] const std::vector<double>& diagonal() const { return diag_; }
+  [[nodiscard]] const std::vector<double>& preconditioner_diagonal() const {
+    return precond_;
+  }
 
+ private:
   PcgParams params_;
 
   /// Stencil cache of cached_flags_, rebuilt (into the same buffers) when
   /// the flags change: per-cell fluid/neighbour bits, the A diagonal
-  /// (count of non-solid neighbours), and the preconditioner (IC/MIC
-  /// factor diag^(-1/2), or the Jacobi inverse diagonal).
+  /// (count of non-solid neighbours), and the preconditioner.
   FlagGrid cached_flags_;
   bool stencil_valid_ = false;
   std::vector<std::uint8_t> stencil_;
@@ -73,11 +81,13 @@ class PcgSolver final : public PoissonSolver {
   /// preconditioner's output is rounded to float by definition.
   std::vector<double> p_, r_, s_, as_, q_;
   std::vector<float> z_;
-  /// Per-row partials: dot products and residual maxima.
-  std::vector<double> row_partial_;
+  /// Per-row partials of the dot products and of the residual maxima.
+  std::vector<double> row_dot_;
+  std::vector<double> row_max_;
 
   /// One progress counter per row band of the pipelined sweeps.
   std::vector<ChunkHandoff> handoffs_;
+  TeamBarrier barrier_;
 };
 
 }  // namespace sfn::fluid

@@ -247,7 +247,8 @@ TEST(PrometheusRender, ServeAndRuntimeInstrumentsExport) {
 
 TEST(MetricsExporter, ScrapeOverRealSocket) {
   obs::histogram("serve.queue_wait").observe(0.0015);
-  obs::counter("runtime.fallbacks");  // Register the family at least.
+  // Register the family at least.
+  static_cast<void>(obs::counter("runtime.fallbacks"));
 
   obs::MetricsExporter exporter;
   ASSERT_TRUE(exporter.start(0));

@@ -86,7 +86,7 @@ TEST(ServeStress, FaultedSessionsNeverLeakQuarantineIntoCleanOnes) {
   for (int i = 0; i < kSessions; ++i) {
     problems.push_back(test::make_test_problem(1000 + i, 16, 10));
     core::SessionConfig session;
-    const bool poison = i % 4 == 0;
+    const bool poison = i % (kSessions / kFaulted) == 0;
     if (poison) {
       counters[i] = std::make_shared<FaultingSolver::Shared>();
       session = faulting_config(counters[i]);

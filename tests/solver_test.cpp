@@ -5,6 +5,7 @@
 #include "fluid/pcg.hpp"
 #include "fluid/relaxation.hpp"
 #include "modelgen/arch_spec.hpp"
+#include "pcg_rebuild_reference.hpp"
 #include "pcg_reference.hpp"
 #include "runtime/fallback.hpp"
 #include "util/check.hpp"
@@ -440,6 +441,100 @@ TEST(Pcg, SteadyStateSolveIsAllocationFree) {
   EXPECT_TRUE(std::isfinite(residual));
 }
 
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+TEST(Pcg, RebuildMatchesSerialReferenceBytewise) {
+  // The stencil and preconditioner a solve rebuilds on its team (a flat
+  // stencil pass, then the IC/MIC factor on the band pipeline) against the
+  // original serial build (pcg_rebuild_reference.hpp), byte for byte, at
+  // teams 1-8: random flags under all four preconditioners, whose 128x8
+  // and 5x200 shapes leave threads without a band or give each band a
+  // single column chunk; an open box whose raised mic_sigma sends some
+  // cells down the safety fallback; and every step's flags of a 128²
+  // moving-obstacle rollout, which rebuild on every solve. A zero rhs and
+  // guess converge at once, so each solve is the rebuild alone.
+  struct Case {
+    FlagGrid flags;
+    PcgParams params;
+    test::ReferencePcgCache want;
+  };
+  std::vector<Case> cases;
+  for (const auto& [nx, ny] : {std::pair{37, 53}, std::pair{128, 8},
+                              std::pair{5, 200}, std::pair{128, 128}}) {
+    const FlagGrid flags = random_flags(nx, ny, 60u + nx + ny);
+    for (const Preconditioner pre : kAllPreconditioners) {
+      PcgParams params;
+      params.preconditioner = pre;
+      cases.push_back({flags, params, test::reference_pcg_cache(flags, params)});
+    }
+  }
+  PcgParams clamped;
+  clamped.mic_sigma = 0.65;
+  PcgParams unclamped = clamped;
+  unclamped.mic_sigma = 0.0;
+  const FlagGrid box = open_box(64);
+  cases.push_back({box, clamped, test::reference_pcg_cache(box, clamped)});
+  ASSERT_FALSE(same_bytes(cases.back().want.precond,
+                          test::reference_pcg_cache(box, unclamped).precond))
+      << "mic_sigma " << clamped.mic_sigma << " takes no fallback";
+
+  const workload::InputProblem scene = workload::make_scene(
+      workload::SceneFamily::kMovingObstacle, 11, {128, 16});
+  std::vector<FlagGrid> rollout;
+  {
+    fluid::SmokeSim sim = workload::make_sim(scene);
+    PcgSolver pcg;
+    for (int step = 0; step < scene.steps; ++step) {
+      sim.step(&pcg);
+      rollout.push_back(sim.flags());
+    }
+  }
+  std::vector<test::ReferencePcgCache> rollout_want;
+  for (const FlagGrid& flags : rollout) {
+    rollout_want.push_back(test::reference_pcg_cache(flags, PcgParams{}));
+  }
+
+  const auto expect_cache = [](const PcgSolver& solver,
+                               const test::ReferencePcgCache& want,
+                               const std::string& what) {
+    EXPECT_TRUE(same_bytes(want.stencil, solver.stencil())) << what;
+    EXPECT_TRUE(same_bytes(want.diag, solver.diagonal())) << what;
+    EXPECT_TRUE(same_bytes(want.precond, solver.preconditioner_diagonal()))
+        << what;
+  };
+  const auto rebuild = [](PcgSolver* solver, const FlagGrid& flags) {
+    const GridF rhs(flags.nx(), flags.ny(), 0.0f);
+    GridF p(flags.nx(), flags.ny(), 0.0f);
+    solver->solve(flags, rhs, &p);
+  };
+  const int old_threads = omp_get_max_threads();
+  for (int threads = 1; threads <= 8; ++threads) {
+    omp_set_num_threads(threads);
+    for (const Case& c : cases) {
+      PcgSolver solver(c.params);
+      rebuild(&solver, c.flags);
+      expect_cache(solver, c.want,
+                   ::testing::PrintToString(threads) + " threads, " +
+                       solver.name() + " " + std::to_string(c.flags.nx()) +
+                       "x" + std::to_string(c.flags.ny()) + " sigma " +
+                       std::to_string(c.params.mic_sigma));
+    }
+    PcgSolver solver;
+    for (std::size_t step = 0; step < rollout.size(); ++step) {
+      rebuild(&solver, rollout[step]);
+      expect_cache(solver, rollout_want[step],
+                   ::testing::PrintToString(threads) +
+                       " threads, moving-obstacle step " +
+                       std::to_string(step));
+    }
+  }
+  omp_set_num_threads(old_threads);
+}
+
 TEST(SmokeSim, SteadyStateStepIsAllocationFree) {
   // Once warm, a whole step touches no heap: MacCormack's intermediate
   // fields, the confinement scratch, a moving obstacle's per-step
@@ -564,6 +659,50 @@ TEST(ChunkHandoff, ChainedProducersHandOffEveryChunk) {
       }
       EXPECT_EQ(mismatches, 0) << stages << " stages, phase " << phase;
     }
+  }
+}
+
+TEST(TeamBarrier, EveryThreadSeesEveryWriteAcrossReusedGenerations) {
+  // The PCG's pattern on plain std::threads: in every round each thread
+  // writes its own slot, passes the barrier, then reads every other
+  // thread's slot. The slots alternate with the round's parity, as the
+  // solve's dot and max partials do, so one barrier per round keeps a fast
+  // thread from overwriting a slot a slow one still reads. The slots are
+  // plain (non-atomic), so a missing release/acquire edge is a data race
+  // ThreadSanitizer reports, and a stale read is a mismatch. One barrier
+  // object serves every team in turn, as a solver's serves every solve:
+  // a team of one, one thread per core, and an oversubscribed team whose
+  // waiters must yield to descheduled threads.
+  constexpr int kRounds = 4000;
+  const int cores =
+      std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
+  fluid::TeamBarrier barrier;
+  for (const int team : {1, cores, 2 * cores}) {
+    std::vector<long> slot(2 * static_cast<std::size_t>(team));
+    std::vector<long> mismatches(static_cast<std::size_t>(team));
+    const auto run = [&](int t) {
+      for (int round = 0; round < kRounds; ++round) {
+        long* const row = slot.data() + (round % 2) * team;
+        row[t] = 1000L * round + t;
+        barrier.arrive_and_wait(team);
+        for (int other = 0; other < team; ++other) {
+          mismatches[t] += row[other] != 1000L * round + other;
+        }
+      }
+    };
+    std::vector<std::thread> threads;
+    for (int t = 1; t < team; ++t) {
+      threads.emplace_back(run, t);
+    }
+    run(0);
+    for (auto& thread : threads) {
+      thread.join();
+    }
+    long total = 0;
+    for (const long m : mismatches) {
+      total += m;
+    }
+    EXPECT_EQ(total, 0) << team << " threads";
   }
 }
 

@@ -96,7 +96,7 @@ TEST(Timer, MeasuresElapsedTime) {
   util::Timer t;
   // A crude lower bound: do a little work.
   volatile double x = 0.0;
-  for (int i = 0; i < 100000; ++i) x += i;
+  for (int i = 0; i < 100000; ++i) x = x + i;
   EXPECT_GE(t.seconds(), 0.0);
   EXPECT_LT(t.seconds(), 10.0);
 }
@@ -114,7 +114,7 @@ TEST(AccumulatingTimer, RestartBanksInFlightInterval) {
   util::AccumulatingTimer t;
   t.start();
   volatile double x = 0.0;
-  for (int i = 0; i < 200000; ++i) x += i;
+  for (int i = 0; i < 200000; ++i) x = x + i;
   t.start();  // Restart without stop(): the first interval must be banked.
   const double banked = t.total_seconds();
   EXPECT_GT(banked, 0.0);

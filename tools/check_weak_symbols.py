@@ -22,6 +22,7 @@ ISA_OBJECTS = (
     "microkernel_avx2.cpp.o",
     "microkernel_avx512.cpp.o",
     "advection_avx2.cpp.o",
+    "pcg_avx2.cpp.o",
 )
 WEAK_TYPES = frozenset("WV")
 

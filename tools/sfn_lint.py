@@ -46,9 +46,10 @@ Mechanically enforceable project rules (see DESIGN.md §9):
                         headers (<immintrin.h>, <arm_neon.h>) live only
                         under src/nn/kernels/ and in the files of
                         INTRINSICS_FILES, today exactly the AVX2 advection
-                        rows (src/fluid/advection_avx2.cpp). Everything
-                        else targets the microkernel interface or the
-                        advection rows' private header, so the
+                        rows and PCG row passes
+                        (src/fluid/advection_avx2.cpp, pcg_avx2.cpp).
+                        Everything else targets the microkernel interface
+                        or those files' private headers, so the
                         scalar-forced CI leg (SFN_FORCE_SCALAR_KERNELS) and
                         non-x86 ports only ever have to stub a known set of
                         files (DESIGN.md §13). A listed file must also keep
@@ -367,7 +368,10 @@ INTRINSIC_HEADER_RE = re.compile(
 # SIMD translation units outside src/nn/kernels/, relative to the root.
 # Each compiles its intrinsics only under ISA_GUARD_RE's #if and a stub in
 # the #else, which is what the scalar-forced leg and ports build.
-INTRINSICS_FILES = frozenset({"src/fluid/advection_avx2.cpp"})
+INTRINSICS_FILES = frozenset({
+    "src/fluid/advection_avx2.cpp",
+    "src/fluid/pcg_avx2.cpp",
+})
 PP_IF_RE = re.compile(r"^\s*#\s*if(?:n?def)?\b(.*)")
 PP_ELSE_RE = re.compile(r"^\s*#\s*(?:else|elif)\b")
 PP_ENDIF_RE = re.compile(r"^\s*#\s*endif\b")
@@ -430,8 +434,9 @@ def rule_raw_intrinsics(root: pathlib.Path) -> None:
                         "raw-intrinsics", path.relative_to(root), line_no,
                         "raw SIMD intrinsic outside src/nn/kernels/ and "
                         "INTRINSICS_FILES; go through the microkernel "
-                        "interface (nn/kernels/microkernel.hpp) or the "
-                        "advection rows (fluid/advection_avx2.hpp) so "
+                        "interface (nn/kernels/microkernel.hpp), the "
+                        "advection rows (fluid/advection_avx2.hpp) or the "
+                        "PCG row passes (fluid/pcg_avx2.hpp) so "
                         "scalar/non-x86 builds stay buildable (or annotate "
                         "`// sfn-lint: allow-intrinsics` with a reason)")
 

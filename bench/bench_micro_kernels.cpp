@@ -139,9 +139,18 @@ void BM_ForwardBatch(benchmark::State& state) {
   for (std::size_t i = 0; i < batch; ++i) {
     inputs.push_back(random_input(2, n, 100 + i));
   }
+  std::vector<nn::Tensor> outputs(batch);
+  std::vector<const nn::Tensor*> in_ptrs;
+  std::vector<nn::Tensor*> out_ptrs;
+  for (std::size_t i = 0; i < batch; ++i) {
+    in_ptrs.push_back(&inputs[i]);
+    out_ptrs.push_back(&outputs[i]);
+  }
   util::ThreadPool pool;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net.forward_batch(inputs, pool));
+    net.forward_batch(in_ptrs, out_ptrs, pool);
+    benchmark::DoNotOptimize(outputs.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(batch));

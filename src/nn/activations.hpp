@@ -48,26 +48,4 @@ class Sigmoid final : public Layer {
   Tensor cached_output_;
 };
 
-/// Element-wise hyperbolic tangent.
-class Tanh final : public Layer {
- public:
-  Tensor forward(const Tensor& input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
-  void forward_into(const Tensor& input, Tensor& output,
-                    Workspace& ws) const override;
-  [[nodiscard]] Shape output_shape(const Shape& input) const override {
-    return input;
-  }
-  [[nodiscard]] std::uint64_t flops(const Shape& input) const override {
-    return 4 * input.numel();
-  }
-  [[nodiscard]] std::unique_ptr<Layer> clone() const override;
-  [[nodiscard]] std::string describe() const override { return "Tanh"; }
-  [[nodiscard]] std::string kind() const override { return "tanh"; }
-  void save(std::ostream& out) const override;
-
- private:
-  Tensor cached_output_;
-};
-
 }  // namespace sfn::nn

@@ -200,15 +200,11 @@ void Conv2D::forward_into(const Tensor& input, Tensor& output,
 
 Tensor Conv2D::forward(const Tensor& input, bool /*train*/) {
   cached_input_ = input;
-  Tensor out;
-  if (choose_algo(input.shape()) == ConvAlgo::kNaive) {
-    forward_naive_into(input, out);
-  } else {
-    if (!own_ws_) {
-      own_ws_ = std::make_unique<Workspace>();
-    }
-    forward_into_fused(input, out, *own_ws_, /*fuse_relu=*/false);
+  if (!own_ws_) {
+    own_ws_ = std::make_unique<Workspace>();
   }
+  Tensor out;
+  forward_into(input, out, *own_ws_);
   return out;
 }
 

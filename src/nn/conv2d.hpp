@@ -100,9 +100,9 @@ class Conv2D final : public Layer {
   std::vector<float> bias_;
   std::vector<float> bias_grads_;
   Tensor cached_input_;
-  /// Scratch for the packed path when invoked through the workspace-less
-  /// training-era forward(); lazily created, excluded from clone().
-  mutable std::unique_ptr<Workspace> own_ws_;
+  /// Scratch for the training forward, which runs forward_into; lazily
+  /// created, excluded from clone().
+  std::unique_ptr<Workspace> own_ws_;
   /// Packed weights, built by prepack() once the weights are final.
   mutable std::optional<kernels::PackedConvWeights> pack_;
 };

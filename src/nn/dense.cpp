@@ -45,33 +45,19 @@ std::uint64_t Dense::flops(const Shape& /*input*/) const {
 }
 
 Tensor Dense::forward(const Tensor& input, bool /*train*/) {
-  if (static_cast<int>(input.numel()) != in_f_) {
-    throw std::invalid_argument("Dense::forward: input size mismatch");
-  }
   cached_input_ = input;
-  Tensor out(Shape{1, 1, out_f_});
-  for (int o = 0; o < out_f_; ++o) {
-    float acc = bias_[o];
-    const float* row = &weights_[static_cast<std::size_t>(o) * in_f_];
-    for (int i = 0; i < in_f_; ++i) {
-      acc += row[i] * input[i];
-    }
-    out[o] = acc;
-  }
-  return out;
+  return forward_output(input);
 }
 
 void Dense::forward_into(const Tensor& input, Tensor& output,
                          Workspace& /*ws*/) const {
   if (static_cast<int>(input.numel()) != in_f_) {
-    throw std::invalid_argument("Dense::forward_into: input size mismatch");
+    throw std::invalid_argument("Dense: input size mismatch");
   }
   output.resize(Shape{1, 1, out_f_});
   const float* src = input.data().data();
   for (int o = 0; o < out_f_; ++o) {
     const float* row = &weights_[static_cast<std::size_t>(o) * in_f_];
-    // Plain sequential accumulation: bit-identical to forward(), so the
-    // MLP's predictions do not shift when call sites adopt the fast path.
     float acc = bias_[o];
     for (int i = 0; i < in_f_; ++i) {
       acc += row[i] * src[i];

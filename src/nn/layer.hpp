@@ -20,10 +20,13 @@ struct ParamView {
 
 /// Base class for all network layers.
 ///
-/// Contract: `forward` caches whatever `backward` needs; `backward` must be
-/// called at most once per forward and receives dLoss/dOutput, returns
-/// dLoss/dInput, and *accumulates* into parameter gradients (callers zero
-/// them between optimizer steps).
+/// Contract: `forward` caches whatever `backward` needs and computes its
+/// output with the layer's own `forward_into`, so training runs the
+/// arithmetic inference serves (Dropout's training mask is the one
+/// deliberate difference); `backward` must be called at most once per
+/// forward and receives dLoss/dOutput, returns dLoss/dInput, and
+/// *accumulates* into parameter gradients (callers zero them between
+/// optimizer steps).
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -31,20 +34,15 @@ class Layer {
   virtual Tensor forward(const Tensor& input, bool train) = 0;
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
-  /// Inference fast path: compute forward(input, /*train=*/false) into
-  /// `output`, drawing scratch memory from `ws` instead of the heap.
+  /// The layer's one forward computation: write the output for `input`
+  /// into `output`, drawing scratch memory from `ws` instead of the heap.
   ///
   /// Contract: `output` is distinct from `input` (Network ping-pongs the
   /// workspace tensors); implementations must not mutate layer state, so
   /// concurrent calls on a shared network are safe as long as each thread
-  /// brings its own Workspace. The base fallback clones the layer and runs
-  /// the regular forward — correct for any future layer, but allocating;
-  /// all in-tree layers override it.
+  /// brings its own Workspace.
   virtual void forward_into(const Tensor& input, Tensor& output,
-                            Workspace& ws) const {
-    (void)ws;
-    output = clone()->forward(input, /*train=*/false);
-  }
+                            Workspace& ws) const = 0;
 
   /// Parameter blobs (empty for stateless layers). Mutable spans, so
   /// handing them out counts as weight mutation.
@@ -75,6 +73,16 @@ class Layer {
 
   /// (Re)initialise weights; default no-op for stateless layers.
   virtual void init_weights(util::Rng& /*rng*/) {}
+
+ protected:
+  /// forward_into a new tensor on throwaway scratch: the training forward
+  /// of a layer that needs no workspace.
+  [[nodiscard]] Tensor forward_output(const Tensor& input) const {
+    Tensor output;
+    Workspace ws;
+    forward_into(input, output, ws);
+    return output;
+  }
 };
 
 }  // namespace sfn::nn

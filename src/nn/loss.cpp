@@ -1,7 +1,5 @@
 #include "nn/loss.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace sfn::nn {
@@ -18,26 +16,6 @@ LossResult mse_loss(const Tensor& prediction, const Tensor& target) {
     const double d = static_cast<double>(prediction[i]) - target[i];
     acc += d * d;
     result.grad[i] = static_cast<float>(2.0 * d / n);
-  }
-  result.value = acc / n;
-  return result;
-}
-
-LossResult bce_loss(const Tensor& prediction, const Tensor& target) {
-  if (prediction.numel() != target.numel()) {
-    throw std::invalid_argument("bce_loss: size mismatch");
-  }
-  LossResult result;
-  result.grad = Tensor(prediction.shape());
-  const auto n = static_cast<double>(prediction.numel());
-  constexpr double kEps = 1e-7;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < prediction.numel(); ++i) {
-    const double p =
-        std::clamp(static_cast<double>(prediction[i]), kEps, 1.0 - kEps);
-    const double t = target[i];
-    acc += -(t * std::log(p) + (1.0 - t) * std::log(1.0 - p));
-    result.grad[i] = static_cast<float>((p - t) / (p * (1.0 - p)) / n);
   }
   result.value = acc / n;
   return result;

@@ -14,9 +14,4 @@ struct LossResult {
 /// objective used to train surrogates against PCG pressure fields.
 LossResult mse_loss(const Tensor& prediction, const Tensor& target);
 
-/// Binary cross-entropy on probabilities in (0, 1):
-/// L = -mean(t*log(p) + (1-t)*log(1-p)). Used for the success-rate MLP
-/// whose labels are ratios in [0, 1].
-LossResult bce_loss(const Tensor& prediction, const Tensor& target);
-
 }  // namespace sfn::nn

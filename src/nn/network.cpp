@@ -90,7 +90,6 @@ std::unique_ptr<Layer> make_layer(int index, const std::string& kind,
   }
   if (kind == "relu") return std::make_unique<ReLU>();
   if (kind == "sigmoid") return std::make_unique<Sigmoid>();
-  if (kind == "tanh") return std::make_unique<Tanh>();
   if (kind == "maxpool" || kind == "avgpool") {
     const int size = io::read_i32(in);
     require(size >= 2, "size", size, ">= 2");
@@ -211,19 +210,6 @@ const Tensor& Network::forward_inference(const Tensor& input,
   }
   ws_bytes.set(static_cast<double>(ws.bytes()));
   return *cur;
-}
-
-std::vector<Tensor> Network::forward_batch(const std::vector<Tensor>& inputs,
-                                           util::ThreadPool& pool) const {
-  std::vector<Tensor> outputs(inputs.size());
-  std::vector<const Tensor*> in_ptrs(inputs.size());
-  std::vector<Tensor*> out_ptrs(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    in_ptrs[i] = &inputs[i];
-    out_ptrs[i] = &outputs[i];
-  }
-  forward_batch(in_ptrs, out_ptrs, pool);
-  return outputs;
 }
 
 void Network::forward_batch(const std::vector<const Tensor*>& inputs,

@@ -52,19 +52,13 @@ class Network {
   /// a given input shape the call performs no heap allocation.
   const Tensor& forward_inference(const Tensor& input, Workspace& ws) const;
 
-  /// Evaluate independent inputs across `pool` (the paper's 20,480 input
-  /// problems are embarrassingly parallel). Each worker runs
+  /// Evaluate independent inputs across `pool`, for the serving
+  /// coalescer: inputs and outputs live in the requesting sessions, so the
+  /// batch is described by pointers and results are written in place
+  /// (outputs resized as needed, backing stores reused). Each worker runs
   /// forward_inference with its own Workspace and intra-op OpenMP disabled
   /// (restored on exit), so results are bit-identical to calling
   /// forward_inference sequentially.
-  std::vector<Tensor> forward_batch(const std::vector<Tensor>& inputs,
-                                    util::ThreadPool& pool) const;
-
-  /// Scatter/gather variant for the serving coalescer: inputs and outputs
-  /// live in the requesting sessions, so the batch is described by
-  /// pointers and results are written in place (outputs resized as
-  /// needed, backing stores reused). Same execution and determinism
-  /// contract as the owning overload.
   void forward_batch(const std::vector<const Tensor*>& inputs,
                      const std::vector<Tensor*>& outputs,
                      util::ThreadPool& pool) const;

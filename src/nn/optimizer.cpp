@@ -4,26 +4,6 @@
 
 namespace sfn::nn {
 
-void Sgd::step(Network& net, double grad_scale) {
-  auto params = net.params();
-  if (velocity_.size() != params.size()) {
-    velocity_.clear();
-    for (const auto& view : params) {
-      velocity_.emplace_back(view.values.size(), 0.0f);
-    }
-  }
-  const float inv_scale = static_cast<float>(1.0 / grad_scale);
-  for (std::size_t p = 0; p < params.size(); ++p) {
-    auto& vel = velocity_[p];
-    auto& view = params[p];
-    for (std::size_t i = 0; i < view.values.size(); ++i) {
-      vel[i] = static_cast<float>(momentum_) * vel[i] +
-               view.grads[i] * inv_scale;
-      view.values[i] -= static_cast<float>(lr_) * vel[i];
-    }
-  }
-}
-
 void Adam::step(Network& net, double grad_scale) {
   auto params = net.params();
   if (m_.size() != params.size()) {

@@ -6,44 +6,17 @@
 
 namespace sfn::nn {
 
-/// Optimiser interface: consumes the accumulated gradients of a network's
-/// parameters and updates them in place.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  /// Apply one update using the current gradients, then the caller
-  /// typically zero_grads(). `grad_scale` divides gradients (batch size).
-  virtual void step(Network& net, double grad_scale = 1.0) = 0;
-};
-
-/// Stochastic gradient descent with classical momentum.
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(double lr, double momentum = 0.9)
-      : lr_(lr), momentum_(momentum) {}
-
-  void step(Network& net, double grad_scale) override;
-
-  void set_lr(double lr) { lr_ = lr; }
-  [[nodiscard]] double lr() const { return lr_; }
-
- private:
-  double lr_;
-  double momentum_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction.
-class Adam final : public Optimizer {
+/// Adam (Kingma & Ba) with bias correction: consumes the accumulated
+/// gradients of a network's parameters and updates them in place.
+class Adam {
  public:
   explicit Adam(double lr, double beta1 = 0.9, double beta2 = 0.999,
                 double eps = 1e-8)
       : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
 
-  void step(Network& net, double grad_scale) override;
-
-  void set_lr(double lr) { lr_ = lr; }
-  [[nodiscard]] double lr() const { return lr_; }
+  /// Apply one update using the current gradients, then the caller
+  /// typically zero_grads(). `grad_scale` divides gradients (batch size).
+  void step(Network& net, double grad_scale = 1.0);
 
  private:
   double lr_;

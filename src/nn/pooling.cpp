@@ -2,7 +2,6 @@
 
 #include "nn/serialize.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -14,6 +13,45 @@ namespace {
 int pooled_extent(int extent, int size) {
   // Ceil division: trailing partial windows pool whatever cells exist.
   return (extent + size - 1) / size;
+}
+
+/// Each window's maximum into `out` (already shaped), and, when `argmax`
+/// is set, the flat input index it came from. A candidate replaces the
+/// running best only when greater, so ties keep the earlier one and NaNs
+/// are skipped.
+void max_pool(const Tensor& input, int size, Tensor& out,
+              std::size_t* argmax) {
+  const Shape in_shape = input.shape();
+  const Shape out_shape = out.shape();
+  std::size_t o = 0;
+  for (int c = 0; c < out_shape.c; ++c) {
+    for (int y = 0; y < out_shape.h; ++y) {
+      for (int x = 0; x < out_shape.w; ++x, ++o) {
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t best_idx = 0;
+        for (int dy = 0; dy < size; ++dy) {
+          const int iy = y * size + dy;
+          if (iy >= in_shape.h) break;
+          for (int dx = 0; dx < size; ++dx) {
+            const int ix = x * size + dx;
+            if (ix >= in_shape.w) break;
+            const float v = input.at(c, iy, ix);
+            if (v > best) {
+              best = v;
+              best_idx =
+                  (static_cast<std::size_t>(c) * in_shape.h + iy) *
+                      in_shape.w +
+                  ix;
+            }
+          }
+        }
+        out[o] = best;
+        if (argmax != nullptr) {
+          argmax[o] = best_idx;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -31,64 +69,16 @@ Shape MaxPool2D::output_shape(const Shape& input) const {
 
 Tensor MaxPool2D::forward(const Tensor& input, bool /*train*/) {
   in_shape_ = input.shape();
-  const Shape out_shape = output_shape(in_shape_);
-  Tensor out(out_shape);
-  argmax_.assign(out.numel(), 0);
-
-  std::size_t o = 0;
-  for (int c = 0; c < out_shape.c; ++c) {
-    for (int y = 0; y < out_shape.h; ++y) {
-      for (int x = 0; x < out_shape.w; ++x, ++o) {
-        float best = -std::numeric_limits<float>::infinity();
-        std::size_t best_idx = 0;
-        for (int dy = 0; dy < size_; ++dy) {
-          const int iy = y * size_ + dy;
-          if (iy >= in_shape_.h) break;
-          for (int dx = 0; dx < size_; ++dx) {
-            const int ix = x * size_ + dx;
-            if (ix >= in_shape_.w) break;
-            const float v = input.at(c, iy, ix);
-            if (v > best) {
-              best = v;
-              best_idx =
-                  (static_cast<std::size_t>(c) * in_shape_.h + iy) *
-                      in_shape_.w +
-                  ix;
-            }
-          }
-        }
-        out[o] = best;
-        argmax_[o] = best_idx;
-      }
-    }
-  }
+  Tensor out(output_shape(in_shape_));
+  argmax_.resize(out.numel());
+  max_pool(input, size_, out, argmax_.data());
   return out;
 }
 
 void MaxPool2D::forward_into(const Tensor& input, Tensor& output,
                              Workspace& /*ws*/) const {
-  const Shape in_shape = input.shape();
-  const Shape out_shape = output_shape(in_shape);
-  output.resize(out_shape);
-
-  std::size_t o = 0;
-  for (int c = 0; c < out_shape.c; ++c) {
-    for (int y = 0; y < out_shape.h; ++y) {
-      for (int x = 0; x < out_shape.w; ++x, ++o) {
-        float best = -std::numeric_limits<float>::infinity();
-        for (int dy = 0; dy < size_; ++dy) {
-          const int iy = y * size_ + dy;
-          if (iy >= in_shape.h) break;
-          for (int dx = 0; dx < size_; ++dx) {
-            const int ix = x * size_ + dx;
-            if (ix >= in_shape.w) break;
-            best = std::max(best, input.at(c, iy, ix));
-          }
-        }
-        output[o] = best;
-      }
-    }
-  }
+  output.resize(output_shape(input.shape()));
+  max_pool(input, size_, output, nullptr);
 }
 
 Tensor MaxPool2D::backward(const Tensor& grad_output) {
@@ -124,29 +114,7 @@ Shape AvgPool2D::output_shape(const Shape& input) const {
 
 Tensor AvgPool2D::forward(const Tensor& input, bool /*train*/) {
   in_shape_ = input.shape();
-  const Shape out_shape = output_shape(in_shape_);
-  Tensor out(out_shape);
-
-  for (int c = 0; c < out_shape.c; ++c) {
-    for (int y = 0; y < out_shape.h; ++y) {
-      for (int x = 0; x < out_shape.w; ++x) {
-        float acc = 0.0f;
-        int count = 0;
-        for (int dy = 0; dy < size_; ++dy) {
-          const int iy = y * size_ + dy;
-          if (iy >= in_shape_.h) break;
-          for (int dx = 0; dx < size_; ++dx) {
-            const int ix = x * size_ + dx;
-            if (ix >= in_shape_.w) break;
-            acc += input.at(c, iy, ix);
-            ++count;
-          }
-        }
-        out.at(c, y, x) = acc / static_cast<float>(count);
-      }
-    }
-  }
-  return out;
+  return forward_output(input);
 }
 
 void AvgPool2D::forward_into(const Tensor& input, Tensor& output,
@@ -232,16 +200,7 @@ Shape Upsample2D::output_shape(const Shape& input) const {
 
 Tensor Upsample2D::forward(const Tensor& input, bool /*train*/) {
   in_shape_ = input.shape();
-  const Shape out_shape = output_shape(in_shape_);
-  Tensor out(out_shape);
-  for (int c = 0; c < out_shape.c; ++c) {
-    for (int y = 0; y < out_shape.h; ++y) {
-      for (int x = 0; x < out_shape.w; ++x) {
-        out.at(c, y, x) = input.at(c, y / scale_, x / scale_);
-      }
-    }
-  }
-  return out;
+  return forward_output(input);
 }
 
 void Upsample2D::forward_into(const Tensor& input, Tensor& output,

@@ -3,6 +3,7 @@
 #include "obs/trace.hpp"
 #include "util/annotations.hpp"
 #include "util/config.hpp"
+#include "util/json.hpp"
 
 #include <atomic>
 #include <cmath>
@@ -33,37 +34,6 @@ EventLogState& state() {
   return *s;
 }
 
-void append_json_escaped(std::string* out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
-
 std::string meta_line() {
   const util::BuildInfo info = util::build_info();
   std::string line = "{\"type\":\"meta\",\"ts\":";
@@ -71,13 +41,13 @@ std::string meta_line() {
   std::snprintf(buf, sizeof(buf), "%.6f", detail::now_seconds());
   line.append(buf);
   line.append(",\"git_sha\":\"");
-  append_json_escaped(&line, info.git_sha);
+  util::append_json_escaped(&line, info.git_sha);
   line.append("\",\"build_type\":\"");
-  append_json_escaped(&line, info.build_type);
+  util::append_json_escaped(&line, info.build_type);
   line.append("\",\"sanitize\":\"");
-  append_json_escaped(&line, info.sanitize);
+  util::append_json_escaped(&line, info.sanitize);
   line.append("\",\"check_numerics\":\"");
-  append_json_escaped(&line, info.check_numerics);
+  util::append_json_escaped(&line, info.check_numerics);
   line.append("\"}\n");
   return line;
 }
@@ -172,7 +142,7 @@ Event::Event(std::string_view type) {
   }
   active_ = true;
   line_ = "{\"type\":\"";
-  append_json_escaped(&line_, type);
+  util::append_json_escaped(&line_, type);
   line_.append("\",\"ts\":");
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6f", detail::now_seconds());
@@ -186,9 +156,9 @@ Event::~Event() {
 Event& Event::field(std::string_view key, std::string_view value) {
   if (active_) {
     line_.append(",\"");
-    append_json_escaped(&line_, key);
+    util::append_json_escaped(&line_, key);
     line_.append("\":\"");
-    append_json_escaped(&line_, value);
+    util::append_json_escaped(&line_, value);
     line_.push_back('"');
   }
   return *this;
@@ -197,7 +167,7 @@ Event& Event::field(std::string_view key, std::string_view value) {
 Event& Event::field(std::string_view key, double value) {
   if (active_) {
     line_.append(",\"");
-    append_json_escaped(&line_, key);
+    util::append_json_escaped(&line_, key);
     line_.append("\":");
     if (std::isfinite(value)) {
       char buf[64];
@@ -215,7 +185,7 @@ Event& Event::field(std::string_view key, double value) {
 Event& Event::field(std::string_view key, bool value) {
   if (active_) {
     line_.append(",\"");
-    append_json_escaped(&line_, key);
+    util::append_json_escaped(&line_, key);
     line_.append("\":");
     line_.append(value ? "true" : "false");
   }
@@ -225,7 +195,7 @@ Event& Event::field(std::string_view key, bool value) {
 Event& Event::field_int(std::string_view key, std::int64_t value) {
   if (active_) {
     line_.append(",\"");
-    append_json_escaped(&line_, key);
+    util::append_json_escaped(&line_, key);
     line_.append("\":");
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));

@@ -1,8 +1,10 @@
 #include "obs/export.hpp"
 
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -14,26 +16,12 @@ namespace sfn::obs {
 
 namespace {
 
-/// Scope names are compile-time literals (dotted identifiers), but escape
-/// anyway so the writer can never emit broken JSON.
-std::string json_escape(const char* s) {
-  std::string out;
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out.push_back(' ');
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 void write_event_line(std::ostream& out, const TraceEvent& ev, bool last) {
-  out << "{\"name\":\"" << json_escape(ev.name)
+  // Scope names are compile-time literals (dotted identifiers), but escape
+  // anyway so the writer can never emit broken JSON.
+  std::string name;
+  util::append_json_escaped(&name, ev.name);
+  out << "{\"name\":\"" << name
       << "\",\"cat\":\"sfn\",\"ph\":\"X\",\"ts\":" << ev.begin_s * 1e6
       << ",\"dur\":" << ev.seconds() * 1e6
       << ",\"pid\":1,\"tid\":" << ev.thread_id << ",\"args\":{\"depth\":"
@@ -62,10 +50,21 @@ std::optional<std::string> raw_field(const std::string& line,
     return std::nullopt;
   }
   if (line[start] == '"') {
+    // Undo util::append_json_escaped.
     std::string out;
     for (std::size_t i = start + 1; i < line.size(); ++i) {
       if (line[i] == '\\' && i + 1 < line.size()) {
-        out.push_back(line[++i]);
+        switch (const char e = line[++i]) {
+          case 'n': out.push_back('\n'); break;
+          case 'r': out.push_back('\r'); break;
+          case 't': out.push_back('\t'); break;
+          case 'u':
+            out.push_back(static_cast<char>(
+                std::strtol(line.substr(i + 1, 4).c_str(), nullptr, 16)));
+            i += 4;
+            break;
+          default: out.push_back(e);
+        }
       } else if (line[i] == '"') {
         return out;
       } else {

@@ -3,6 +3,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/config.hpp"
+#include "util/json.hpp"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -81,25 +82,7 @@ std::string sample_name(const std::string& family, const std::string& labels,
 
 void append_json_string(std::string* out, const std::string& s) {
   out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
+  util::append_json_escaped(out, s);
   out->push_back('"');
 }
 

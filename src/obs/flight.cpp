@@ -187,7 +187,7 @@ bool flight_init_from_env() {
   return flight_armed();
 }
 
-void flight_report_guard_trip(std::uint64_t model_id) {
+void flight_report_guard_trip() {
   if (!flight_armed()) {
     return;
   }
@@ -200,10 +200,8 @@ void flight_report_guard_trip(std::uint64_t model_id) {
   }
   if (static_cast<int>(s.trips.size()) >= s.config.trip_threshold) {
     char detail[96];
-    std::snprintf(detail, sizeof(detail),
-                  "%zu trips in %.3f s (model %llu)", s.trips.size(),
-                  s.config.trip_window_s,
-                  static_cast<unsigned long long>(model_id));
+    std::snprintf(detail, sizeof(detail), "%zu trips in %.3f s",
+                  s.trips.size(), s.config.trip_window_s);
     if (!trigger_dump_locked(s, "guard_trip_burst", detail).empty()) {
       s.trips.clear();  // One dump per burst, not one per extra trip.
     }

@@ -58,7 +58,7 @@ bool flight_init_from_env();
 
 /// Report one guard trip (runtime guard). Cheap when disarmed. A burst
 /// beyond the configured threshold triggers a dump.
-void flight_report_guard_trip(std::uint64_t model_id);
+void flight_report_guard_trip();
 
 /// Report one finished job's latencies (serving layer). Cheap when
 /// disarmed. A breach of either configured SLO triggers a dump.

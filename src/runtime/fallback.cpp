@@ -7,7 +7,6 @@
 #include "util/config.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 namespace sfn::runtime {
@@ -68,7 +67,7 @@ fluid::GuardOutcome FallbackPolicy::inspect(const fluid::FlagGrid& flags,
       .field("relative_residual", relative)
       .field("bad_cells", bad_cells)
       .field("non_finite", solve.non_finite);
-  obs::flight_report_guard_trip(0);
+  obs::flight_report_guard_trip();
 
   // Warm start from the rejected prediction only when it is fully finite
   // and beats the trivial guess (relative residual of p = 0 is exactly
@@ -79,14 +78,10 @@ fluid::GuardOutcome FallbackPolicy::inspect(const fluid::FlagGrid& flags,
     pressure->fill(0.0f);
   }
   outcome.fallback = true;
-  const auto solve_begin = std::chrono::steady_clock::now();
   outcome.fallback_solve = pcg_.solve(flags, rhs, pressure);
   static obs::Histogram& fallback_latency =
       obs::histogram("runtime.fallback_latency");
-  fallback_latency.observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    solve_begin)
-          .count());
+  fallback_latency.observe(outcome.fallback_solve.seconds);
   return outcome;
 }
 

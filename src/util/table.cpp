@@ -1,5 +1,7 @@
 #include "util/table.hpp"
 
+#include "util/json.hpp"
+
 #include <cstdio>
 #include <iostream>
 #include <sstream>
@@ -79,24 +81,9 @@ std::string Table::to_csv() const {
 std::string Table::to_json() const {
   std::ostringstream out;
   auto emit_string = [&](const std::string& s) {
-    out << '"';
-    for (const char ch : s) {
-      switch (ch) {
-        case '"': out << "\\\""; break;
-        case '\\': out << "\\\\"; break;
-        case '\n': out << "\\n"; break;
-        case '\t': out << "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(ch) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-            out << buf;
-          } else {
-            out << ch;
-          }
-      }
-    }
-    out << '"';
+    std::string escaped;
+    append_json_escaped(&escaped, s);
+    out << '"' << escaped << '"';
   };
   auto emit_array = [&](const std::vector<std::string>& row) {
     out << '[';

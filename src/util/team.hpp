@@ -32,9 +32,14 @@ void on_team(const Body& body) {
 /// body(j) for every j in [0, n), split over the team in contiguous blocks.
 /// Each j runs on exactly one thread, so a body that writes only its own
 /// outputs from inputs no other j writes gives the same bits for any team
-/// size.
+/// size. A single row runs on the caller: a team would leave every thread
+/// but one idle and pay the fork and join for nothing.
 template <typename Body>
 void for_rows(int n, const Body& body) {
+  if (n == 1) {
+    body(0);
+    return;
+  }
   on_team([&](int thread, int team) {
     for (int j = thread * n / team; j < (thread + 1) * n / team; ++j) {
       body(j);

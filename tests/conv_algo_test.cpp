@@ -4,8 +4,11 @@
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/dense.hpp"
 #include "nn/network.hpp"
+#include "nn/pooling.hpp"
 #include "nn/workspace.hpp"
+#include "quality/mlp.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -15,6 +18,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -62,14 +68,11 @@ Tensor random_tensor(Shape shape, std::uint64_t seed) {
   return t;
 }
 
-void expect_close(const Tensor& a, const Tensor& b, double rel_tol) {
-  ASSERT_EQ(a.shape(), b.shape());
-  for (std::size_t i = 0; i < a.numel(); ++i) {
-    const double va = a[i];
-    const double vb = b[i];
-    const double tol = rel_tol * std::max(1.0, std::abs(va));
-    ASSERT_NEAR(va, vb, tol) << "at flat index " << i;
-  }
+/// Bit-for-bit equality, NaN payloads and zero signs included.
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.numel() * sizeof(float)) == 0;
 }
 
 TEST(ConvAlgoDispatch, OverrideForcesAlgorithm) {
@@ -89,18 +92,74 @@ TEST(ConvAlgoDispatch, OverrideForcesAlgorithm) {
 }
 
 TEST(ConvAlgoDispatch, ForwardIntoMatchesForward) {
-  nn::Network net;
-  net.emplace<nn::Conv2D>(2, 8, 3);
-  net.emplace<nn::ReLU>();
-  net.emplace<nn::Conv2D>(8, 8, 3, /*residual=*/true);
-  net.emplace<nn::ReLU>();
-  net.emplace<nn::Conv2D>(8, 1, 1);
+  // Every layer kind modelgen::build_network and quality::build_mlp emit:
+  // packed and naive convs (residual, and fused with a following ReLU by
+  // forward_inference), max and average pooling, dropout, upsampling,
+  // dense layers and the sigmoid head.
+  nn::Network cnn;
+  cnn.emplace<nn::Conv2D>(2, 8, 3);  // Packed at 33x31.
+  cnn.emplace<nn::ReLU>();
+  cnn.emplace<nn::MaxPool2D>(2);
+  cnn.emplace<nn::Conv2D>(8, 8, 3, /*residual=*/true);  // Packed at 17x16.
+  cnn.emplace<nn::ReLU>();
+  cnn.emplace<nn::Dropout>(0.25);
+  cnn.emplace<nn::AvgPool2D>(2);
+  cnn.emplace<nn::Conv2D>(8, 8, 5);  // Naive at 9x8.
+  cnn.emplace<nn::ReLU>();
+  cnn.emplace<nn::Upsample2D>(2);
+  cnn.emplace<nn::Conv2D>(8, 1, 1);  // Naive: a short column.
+  util::Rng rng(5);
+  const nn::Network mlp = quality::build_mlp(quality::MlpTopology::kMlp2, rng);
 
-  const Tensor input = random_tensor(Shape{2, 33, 31}, 5);
-  const Tensor ref = net.forward(input, /*train=*/false);
-  nn::Workspace ws;
-  const Tensor& fast = net.forward_inference(input, ws);
-  expect_close(ref, fast, 1e-5);
+  const struct {
+    const char* name;
+    nn::Network net;
+    Tensor input;
+  } cases[] = {
+      {"cnn", cnn, random_tensor(Shape{2, 33, 31}, 5)},
+      {"mlp", mlp, random_tensor(Shape{1, 1, quality::kFeatureDim}, 6)},
+  };
+  for (const auto& c : cases) {
+    nn::Network net = c.net;
+    const Tensor ref = net.forward(c.input, /*train=*/false);
+    nn::Workspace ws;
+    EXPECT_TRUE(same_bits(ref, net.forward_inference(c.input, ws))) << c.name;
+  }
+}
+
+TEST(ConvAlgoDispatch, LayerForwardMatchesForwardIntoOnNegativeZeroAndNan) {
+  // Training's forward(x, false) and inference's forward_into are one
+  // computation: they agree bit for bit even where the sign of zero and
+  // NaN decide the output.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const auto input = [&](Shape shape) {
+    Tensor x = random_tensor(shape, 11);
+    for (std::size_t i = 0; i < x.numel(); i += 5) {
+      x[i] = -0.0f;
+    }
+    x[3] = nan;
+    return x;
+  };
+  const Shape image{4, 18, 17};
+  std::vector<std::pair<std::unique_ptr<nn::Layer>, Shape>> layers;
+  layers.emplace_back(std::make_unique<nn::Conv2D>(4, 8, 3), image);
+  layers.emplace_back(std::make_unique<nn::Conv2D>(4, 4, 3, true), image);
+  layers.emplace_back(std::make_unique<nn::Conv2D>(4, 8, 3), Shape{4, 6, 5});
+  layers.emplace_back(std::make_unique<nn::ReLU>(), image);
+  layers.emplace_back(std::make_unique<nn::Sigmoid>(), image);
+  layers.emplace_back(std::make_unique<nn::MaxPool2D>(2), image);
+  layers.emplace_back(std::make_unique<nn::AvgPool2D>(2), image);
+  layers.emplace_back(std::make_unique<nn::Upsample2D>(2), image);
+  layers.emplace_back(std::make_unique<nn::Dropout>(0.5), image);
+  layers.emplace_back(std::make_unique<nn::Dense>(48, 8), Shape{1, 1, 48});
+  for (auto& [layer, shape] : layers) {
+    const Tensor x = input(shape);
+    const Tensor ref = layer->forward(x, /*train=*/false);
+    Tensor out;
+    nn::Workspace ws;
+    layer->forward_into(x, out, ws);
+    EXPECT_TRUE(same_bits(ref, out)) << layer->describe();
+  }
 }
 
 TEST(ForwardBatch, MatchesSequentialInference) {
@@ -121,16 +180,19 @@ TEST(ForwardBatch, MatchesSequentialInference) {
     expected.push_back(net.forward_inference(in, ws));
   }
 
+  std::vector<Tensor> batched(inputs.size());
+  std::vector<const Tensor*> in_ptrs;
+  std::vector<Tensor*> out_ptrs;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    in_ptrs.push_back(&inputs[i]);
+    out_ptrs.push_back(&batched[i]);
+  }
   util::ThreadPool pool(4);
-  const std::vector<Tensor> batched = net.forward_batch(inputs, pool);
-  ASSERT_EQ(expected.size(), batched.size());
+  net.forward_batch(in_ptrs, out_ptrs, pool);
   for (std::size_t i = 0; i < batched.size(); ++i) {
-    ASSERT_EQ(expected[i].shape(), batched[i].shape());
-    for (std::size_t j = 0; j < batched[i].numel(); ++j) {
-      // The batch path runs the exact same kernels, so results are
-      // bit-identical to sequential evaluation.
-      ASSERT_EQ(expected[i][j], batched[i][j]) << "problem " << i;
-    }
+    // The batch path runs the exact same kernels, so results are
+    // bit-identical to sequential evaluation.
+    EXPECT_TRUE(same_bits(expected[i], batched[i])) << "problem " << i;
   }
 }
 

@@ -174,7 +174,7 @@ TEST(FlightRecorder, DisarmedReportsAreNoOps) {
   ASSERT_FALSE(obs::flight_armed());
   const int before = obs::flight_dump_count();
   for (int i = 0; i < 32; ++i) {
-    obs::flight_report_guard_trip(9);
+    obs::flight_report_guard_trip();
   }
   obs::flight_check_job_slo("job-x", 1e6, 1e6);
   EXPECT_EQ(obs::flight_dump_count(), before);

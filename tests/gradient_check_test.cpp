@@ -140,12 +140,6 @@ TEST(GradCheck, Sigmoid) {
   check_input_gradient(sig, x);
 }
 
-TEST(GradCheck, Tanh) {
-  nn::Tanh tanh_layer;
-  const Tensor x = random_tensor(Shape{1, 3, 3}, 6);
-  check_input_gradient(tanh_layer, x);
-}
-
 TEST(GradCheck, MaxPool) {
   nn::MaxPool2D pool(2);
   // Distinct values so argmax is stable under the probe perturbation.
@@ -223,24 +217,6 @@ TEST(GradCheck, MseLossGradient) {
                         nn::mse_loss(minus, target).value) /
                        (2.0 * kEps);
     EXPECT_NEAR(loss.grad[k], num, 1e-3);
-  }
-}
-
-TEST(GradCheck, BceLossGradient) {
-  Tensor pred = random_tensor(Shape{1, 1, 5}, 14, 0.2, 0.8);
-  const Tensor target = random_tensor(Shape{1, 1, 5}, 15, 0.0, 1.0);
-  const auto loss = nn::bce_loss(pred, target);
-
-  constexpr float kEps = 1e-3f;
-  for (std::size_t k = 0; k < pred.numel(); ++k) {
-    Tensor plus = pred;
-    plus[k] += kEps;
-    Tensor minus = pred;
-    minus[k] -= kEps;
-    const double num = (nn::bce_loss(plus, target).value -
-                        nn::bce_loss(minus, target).value) /
-                       (2.0 * kEps);
-    EXPECT_NEAR(loss.grad[k], num, 5e-3 * std::max(1.0, std::abs(num)));
   }
 }
 

@@ -170,6 +170,21 @@ TEST_F(ObsTest, ChromeTraceRoundTripReconstructsPhaseTree) {
   EXPECT_FALSE(root.id.has_value());
 }
 
+TEST_F(ObsTest, ChromeTraceRoundTripsEscapedNames) {
+  // Quotes, backslashes and control bytes are escaped on one line, and the
+  // parser restores every byte, UTF-8 included.
+  const char* name = "a \"q\" \\ b\nc\rd\te\x01" "f caf\xc3\xa9";
+  obs::TraceEvent ev;
+  ev.name = name;
+  ev.begin_s = 1.0;
+  ev.end_s = 1.5;
+  std::stringstream buf;
+  obs::write_chrome_trace(buf, {ev});
+  const auto parsed = obs::parse_chrome_trace(buf);
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].name, name);
+}
+
 TEST_F(ObsTest, ParserRejectsStructurallyBrokenInput) {
   std::stringstream buf("not a trace at all\n");
   EXPECT_THROW(obs::parse_chrome_trace(buf), std::runtime_error);

@@ -124,15 +124,6 @@ TEST(Sigmoid, KnownValues) {
   EXPECT_NEAR(y[2], 0.0f, 1e-6f);
 }
 
-TEST(Tanh, KnownValues) {
-  nn::Tanh tanh_layer;
-  Tensor x(Shape{1, 1, 2});
-  x[0] = 0.0f; x[1] = 1.0f;
-  const Tensor y = tanh_layer.forward(x, false);
-  EXPECT_FLOAT_EQ(y[0], 0.0f);
-  EXPECT_NEAR(y[1], std::tanh(1.0f), 1e-6f);
-}
-
 TEST(MaxPool, PicksWindowMaxima) {
   nn::MaxPool2D pool(2);
   Tensor x(Shape{1, 4, 4});

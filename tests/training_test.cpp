@@ -5,8 +5,11 @@
 #include "fluid/pcg.hpp"
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cmath>
+#include <cstdint>
+#include <sstream>
 
 namespace sfn {
 namespace {
@@ -212,6 +215,49 @@ TEST(TrainModelHelper, ProducesMeasuredModel) {
   EXPECT_EQ(model.records.records.size(), 1u);
   EXPECT_GT(model.mean_seconds, 0.0);
   EXPECT_GE(model.mean_quality, 0.0);
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(Training, TrainedWeightsArePinned) {
+  // The exact bits of two trained surrogates, at one thread and at a team
+  // of four. The goldens run untrained synthetic models, so this is the
+  // ctest that notices when training's arithmetic moves (perfbench's
+  // ladder_hash, which trains yang and tompson too, would move with it).
+  workload::ProblemSetParams params;
+  params.grid = 16;
+  params.steps = 8;
+  const auto samples = core::collect_training_data(
+      workload::generate_problems(2, params, 31), 4);
+  ASSERT_EQ(samples.size(), 4u);
+  core::SurrogateTrainParams train;
+  train.epochs = 2;
+  const struct {
+    modelgen::ArchSpec spec;
+    std::uint64_t hash;
+  } cases[] = {{modelgen::yang_spec(), 0x656398c7f2898b58ull},
+               {modelgen::tompson_spec(4), 0x1d35667cadb78e50ull}};
+
+  const int old_threads = omp_get_max_threads();
+  for (const int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    for (const auto& c : cases) {
+      util::Rng rng(0x7e57);
+      const auto model = core::train_model(c.spec, samples, train, rng);
+      std::ostringstream bytes;
+      model.net.save(bytes);
+      EXPECT_EQ(fnv1a(bytes.str()), c.hash)
+          << c.spec.name << " at " << threads << " OpenMP threads";
+    }
+  }
+  omp_set_num_threads(old_threads);
 }
 
 }  // namespace

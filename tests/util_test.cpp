@@ -1,4 +1,5 @@
 #include "util/config.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -147,6 +148,17 @@ TEST(Table, Formatters) {
   EXPECT_EQ(util::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(util::fmt_sci(234000000.0, 2), "2.34e+08");
   EXPECT_EQ(util::fmt_pct(0.8827, 2), "88.27%");
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlBytes) {
+  std::string out = "x";
+  util::append_json_escaped(&out, "\"\\\n\r\t\x01\xc3\xa9");
+  EXPECT_EQ(out, "x\\\"\\\\\\n\\r\\t\\u0001\xc3\xa9");
+  // Table's JSON export runs the same escaper.
+  util::Table table({"a\"b"});
+  table.add_row({"c\nd"});
+  EXPECT_EQ(table.to_json(),
+            "{\"columns\": [\"a\\\"b\"], \"rows\": [[\"c\\nd\"]]}");
 }
 
 TEST(Config, EnvFallback) {

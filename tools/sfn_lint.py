@@ -752,7 +752,6 @@ RAW_OMP_ALLOWED = frozenset({
     "fluid/relaxation.cpp",
     "workload/turbulence.cpp",
     "nn/conv2d.cpp",
-    "nn/activations.cpp",
 })
 RAW_OMP_RE = re.compile(r"^\s*#\s*pragma\s+omp\s+parallel\b")
 
